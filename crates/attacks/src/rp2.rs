@@ -27,7 +27,7 @@
 
 use blurnet_data::{sample_transforms, StickerLayout, Transform};
 use blurnet_nn::{softmax_cross_entropy, Adam, NnError, Optimizer, Sequential, ShardGrad};
-use blurnet_signal::low_frequency_project;
+use blurnet_signal::low_frequency_project_planes;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -417,22 +417,13 @@ impl Rp2Attack {
 
     /// Applies the adaptive low-frequency projection to every `[H, W]`
     /// channel plane of a perturbation — rank 3 (`[C, H, W]`) or rank 4
-    /// (`[N, C, H, W]`) — a no-op clone for the other objectives.
+    /// (`[N, C, H, W]`) — in one batched call; a no-op clone for the other
+    /// objectives.
     fn project_perturbation(&self, perturbation: &Tensor) -> Result<Tensor> {
         match &self.config.objective {
             AdaptiveObjective::LowFrequencyDct { dim } => {
-                let (h, w) = spatial_dims(perturbation)?;
-                let planes = perturbation.len() / (h * w);
-                let mut out = Vec::with_capacity(perturbation.len());
-                for p in 0..planes {
-                    let map = Tensor::from_vec(
-                        perturbation.data()[p * h * w..(p + 1) * h * w].to_vec(),
-                        &[h, w],
-                    )?;
-                    let projected = low_frequency_project(&map, *dim)?;
-                    out.extend_from_slice(projected.data());
-                }
-                Ok(Tensor::from_vec(out, perturbation.dims())?)
+                spatial_dims(perturbation)?;
+                Ok(low_frequency_project_planes(perturbation, *dim)?)
             }
             _ => Ok(perturbation.clone()),
         }

@@ -132,11 +132,15 @@ fn seeded_multi_producer_stress_delivers_every_item_in_per_producer_order() {
     // 4 producers × 4 consumers through a deliberately tiny queue, so
     // both the not_full and not_empty waits are exercised constantly.
     // MPMC FIFO guarantees: nothing lost, nothing duplicated, and each
-    // producer's items are observed in their production order.
+    // consumer observes each producer's items in their production order.
+    // Order across consumers is not observable: a consumer records an item
+    // only after its pop returns, so two consumers can record one
+    // producer's consecutive items in either order.
     const PRODUCERS: u64 = 4;
     const PER_PRODUCER: u64 = 500;
+    const CONSUMERS: usize = 4;
     let queue = Arc::new(BoundedQueue::new(3));
-    let received: Mutex<Vec<u64>> = Mutex::new(Vec::new());
+    let received: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..PRODUCERS)
@@ -159,9 +163,9 @@ fn seeded_multi_producer_stress_delivers_every_item_in_per_producer_order() {
             })
             .collect();
         scope.spawn(|| {
-            run_workers(4, |_worker| {
+            run_workers(CONSUMERS, |worker| {
                 while let Some(v) = queue.pop() {
-                    received.lock().expect("result lock").push(v);
+                    received.lock().expect("result lock").push((worker, v));
                 }
             });
         });
@@ -173,15 +177,25 @@ fn seeded_multi_producer_stress_delivers_every_item_in_per_producer_order() {
 
     let received = received.into_inner().expect("result lock");
     assert_eq!(received.len(), (PRODUCERS * PER_PRODUCER) as usize);
-    let mut last_seen = vec![None::<u64>; PRODUCERS as usize];
-    for v in &received {
+    // One consumer's pops happen in sequence and it records each item
+    // before its next pop, so per (consumer, producer) pair the recorded
+    // order is the queue's order.
+    let mut last_seen = vec![vec![None::<u64>; PRODUCERS as usize]; CONSUMERS];
+    for &(c, v) in &received {
         let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
-        if let Some(prev) = last_seen[p] {
-            assert!(i > prev, "producer {p} items observed out of order");
+        if let Some(prev) = last_seen[c][p] {
+            assert!(
+                i > prev,
+                "consumer {c} observed producer {p} items out of order: {prev} then {i}"
+            );
         }
-        last_seen[p] = Some(i);
+        last_seen[c][p] = Some(i);
     }
-    for (p, last) in last_seen.iter().enumerate() {
-        assert_eq!(*last, Some(PER_PRODUCER - 1), "producer {p} items missing");
-    }
+    // Completeness and no duplicates: every item arrives exactly once.
+    let mut values: Vec<u64> = received.iter().map(|&(_, v)| v).collect();
+    values.sort_unstable();
+    let expected: Vec<u64> = (0..PRODUCERS)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |i| (p << 32) | i))
+        .collect();
+    assert_eq!(values, expected, "items lost or duplicated");
 }

@@ -11,7 +11,7 @@
 //! * Tikhonov regularization operators `L_hf = I − L_avg` and the
 //!   pseudoinverse of a difference matrix (Eq. 5–7, 10–11) — [`tikhonov`];
 //! * the 2-D DCT used by the low-frequency adaptive attack (Eq. 8,
-//!   Figure 3) — [`dct`].
+//!   Figure 3), as products with cached orthonormal bases — [`dct`].
 //!
 //! # Example
 //!
@@ -39,7 +39,9 @@ pub mod tikhonov;
 pub mod tv;
 
 pub use complex::Complex32;
-pub use dct::{dct2d, idct2d, low_frequency_mask, low_frequency_project};
+pub use dct::{
+    dct2d, idct2d, low_frequency_mask, low_frequency_project, low_frequency_project_planes,
+};
 pub use error::SignalError;
 pub use fft::{fft2d, fft2d_magnitude, fftshift2d, ifft2d, log_magnitude_spectrum};
 pub use kernels::{
