@@ -25,7 +25,9 @@ use blurnet_signal::{
     blur_batch, blur_batch_2d, box_kernel, dct2d, depthwise_weights, fft2d_magnitude,
     total_variation_batch, OperatorPenalty,
 };
-use blurnet_tensor::{default_backend, reference, ConvSpec, Scratch, SimdTier, Tensor};
+use blurnet_tensor::{
+    default_backend, reference, ConvSpec, PackedConvWeights, Scratch, SimdTier, Tensor,
+};
 use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -203,6 +205,54 @@ fn write_bench_json() {
                 .unwrap()
         }),
     );
+    // The first-layer block, single-thread: LISA-CNN's conv1 (5×5, stride
+    // 2, pad 2, 8 filters) forward, input gradient and full backward — the
+    // direct stride-2 and weight-gradient kernels — and the BlurNet
+    // depthwise input gradient on ReLU-sparse (zero-masked) gradients.
+    let conv1_pack = PackedConvWeights::pack(&weight).expect("rank-4 weight");
+    for n in [1usize, 16] {
+        let x = Tensor::rand_uniform(&[n, 3, 32, 32], 0.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[n, 8, 16, 16], -1.0, 1.0, &mut rng);
+        let mut s = Scratch::new();
+        record.push(
+            &format!("conv1_forward_{n}x3x32x32_st"),
+            single_thread_ns(|| {
+                backend
+                    .conv2d_prepacked(&x, &conv1_pack, None, conv_spec, &mut s)
+                    .unwrap()
+            }),
+        );
+        record.push(
+            &format!("conv1_input_grad_{n}x3x32x32_st"),
+            single_thread_ns(|| {
+                backend
+                    .conv2d_input_grad_prepacked(&conv1_pack, &g, x.dims(), conv_spec, &mut s)
+                    .unwrap()
+            }),
+        );
+        record.push(
+            &format!("conv1_backward_{n}x3x32x32_st"),
+            single_thread_ns(|| {
+                backend
+                    .conv2d_backward(&x, &weight, &g, conv_spec, &mut s)
+                    .unwrap()
+            }),
+        );
+    }
+    for k in [3usize, 5, 7] {
+        let dw = Tensor::rand_uniform(&[8, k, k], -0.5, 0.5, &mut rng);
+        let g = Tensor::rand_uniform(&[16, 8, 16, 16], -1.0, 1.0, &mut rng).map(|v| v.max(0.0));
+        let spec = ConvSpec::same(k).expect("odd kernel");
+        record.push(
+            &format!("depthwise_input_grad_{k}x{k}_16x8x16x16_st"),
+            single_thread_ns(|| {
+                backend
+                    .depthwise_input_grad(&dw, &g, &[16, 8, 16, 16], spec)
+                    .unwrap()
+            }),
+        );
+    }
+
     let mut net = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let batch = Tensor::rand_uniform(&[4, 3, 32, 32], 0.0, 1.0, &mut rng);
     record.push(

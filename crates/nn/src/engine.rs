@@ -143,8 +143,10 @@ pub struct BatchEngine<'n> {
 }
 
 /// Default images per shard: one. The finest sharding maximizes batch-level
-/// parallelism, and per-image GEMMs on this workload are already large
-/// enough to run the blocked core at full speed.
+/// parallelism and costs nothing per image: LISA-CNN's convolutions and
+/// their input gradients run direct kernels (stride 1 for conv2/conv3,
+/// stride 2 for conv1) that walk a batch one image at a time anyway, so a
+/// larger shard would not make the per-image work cheaper.
 const DEFAULT_SHARD_IMAGES: usize = 1;
 
 // Compile-time pin of the sharing contract: an engine (and the plan it

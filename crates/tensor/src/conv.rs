@@ -2,7 +2,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::backend::SimdTier;
-use crate::matmul::{gemm_into, gemm_into_src, transpose_into, ARows};
+use crate::matmul::{gemm_into, gemm_into_src, madd, transpose_into, ARows, KC};
 use crate::shape::checked_volume;
 use crate::{Result, Scratch, Tensor, TensorError};
 
@@ -608,7 +608,7 @@ fn direct_s1_image<const OW: usize, const CB: usize, const FMA: bool>(
                         for (j, row) in acc.iter_mut().enumerate().take(cob) {
                             let wv = weight[(co0 + j) * ci_n * k * k + w_row + kx];
                             for (o, &s) in row.iter_mut().zip(src.iter()) {
-                                *o = crate::matmul::madd::<FMA>(*o, wv, s);
+                                *o = madd::<FMA>(*o, wv, s);
                             }
                         }
                     }
@@ -731,14 +731,576 @@ fn conv2d_direct_s1(
     scratch.put(padded);
 }
 
+/// Whether the direct stride-2 kernels handle this shape: square kernels
+/// with sub-kernel padding, output rows of 8 or 16 (the widths they are
+/// instantiated for — `conv1` of LISA-CNN at 32×32 and 16×16 inputs), and
+/// an FMA chain (`C·K·K` for the forward, `F` for the input gradient) that
+/// fits one GEMM k-panel. The stride-2 kernels replace GEMM paths rather
+/// than defining their own, so they must reproduce the GEMM's per-element
+/// arithmetic exactly; within one panel that is a single chain from zero.
+fn direct_s2_applies(spec: ConvSpec, kh: usize, kw: usize, ow: usize, chain: usize) -> bool {
+    spec.stride == 2
+        && kh == kw
+        && kh > 0
+        && spec.padding < kh
+        && (ow == 8 || ow == 16)
+        && chain <= KC
+}
+
+/// Layout of the stride-2 kernels' *phase planes*: each zero-padded image
+/// row (width `W + 2P`) is split into its even and odd columns, so padded
+/// column `xp` of padded row `yp` in channel `ci` sits at
+/// [`PhaseGeom::row`]`(ci, yp, xp & 1) + (xp >> 1)`. Output column `ox` of a
+/// stride-2 convolution reads padded column `2·ox + kx`, so every tap of a
+/// whole output row is one contiguous `OW`-wide slice.
+struct PhaseGeom {
+    c: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    ph: usize,
+    pw2: usize,
+}
+
+impl PhaseGeom {
+    fn new(c: usize, h: usize, w: usize, pad: usize) -> Self {
+        PhaseGeom {
+            c,
+            h,
+            w,
+            pad,
+            ph: h + 2 * pad,
+            pw2: (w + 2 * pad).div_ceil(2),
+        }
+    }
+
+    /// Elements in one image's phase planes.
+    fn len(&self) -> Result<usize> {
+        checked_volume(&[self.c, self.ph, 2, self.pw2])
+    }
+
+    /// Start of column phase `phase` of padded row `yp` in channel `ci`.
+    fn row(&self, ci: usize, yp: usize, phase: usize) -> usize {
+        ((ci * self.ph + yp) * 2 + phase) * self.pw2
+    }
+
+    /// Offsets of image columns 0 and 1 of padded row `yp`; the even and
+    /// the odd image columns each continue one slot per two columns.
+    fn column_starts(&self, ci: usize, yp: usize) -> (usize, usize) {
+        let (p, q) = (self.pad, self.pad + 1);
+        (
+            self.row(ci, yp, p & 1) + (p >> 1),
+            self.row(ci, yp, q & 1) + (q >> 1),
+        )
+    }
+
+    /// Copies one `[C, H, W]` image into the interior of `planes`. The
+    /// padding positions are the same for every image, so a buffer zeroed
+    /// once keeps them zero across images.
+    fn scatter(&self, planes: &mut [f32], img: &[f32]) {
+        for ci in 0..self.c {
+            for y in 0..self.h {
+                let src = &img[(ci * self.h + y) * self.w..][..self.w];
+                let (even, odd) = self.column_starts(ci, y + self.pad);
+                for (d, &v) in planes[even..].iter_mut().zip(src.iter().step_by(2)) {
+                    *d = v;
+                }
+                for (d, &v) in planes[odd..].iter_mut().zip(src.iter().skip(1).step_by(2)) {
+                    *d = v;
+                }
+            }
+        }
+    }
+
+    /// Copies the interior of `planes` out into a `[C, H, W]` image.
+    fn gather(&self, planes: &[f32], img: &mut [f32]) {
+        for ci in 0..self.c {
+            for y in 0..self.h {
+                let dst = &mut img[(ci * self.h + y) * self.w..][..self.w];
+                let (even, odd) = self.column_starts(ci, y + self.pad);
+                for (d, &v) in dst.iter_mut().step_by(2).zip(planes[even..].iter()) {
+                    *d = v;
+                }
+                for (d, &v) in dst.iter_mut().skip(1).step_by(2).zip(planes[odd..].iter()) {
+                    *d = v;
+                }
+            }
+        }
+    }
+}
+
+/// Widest register block (output channels or kernel taps) the stride-2
+/// kernels read from their weight packs; the packs carry this many zero
+/// lanes past their end, so a block's fixed-size weight load never runs
+/// out of the buffer.
+const S2_BLOCK_MAX: usize = 8;
+
+/// Register-blocked direct stride-2 convolution of one image held as
+/// phase planes, for a compile-time row width `OW` and output-channel block
+/// `CB`. `wt` holds the filters tap-major (`[C·K·K, F]`, then
+/// [`S2_BLOCK_MAX`] zeros), so the `CB` weights of one tap are one
+/// contiguous slice.
+///
+/// Bit-identical to the fused-im2col GEMM it replaces: each output keeps
+/// the GEMM's single-panel FMA chain over `(ci, ky, kx)` starting from zero
+/// (padding taps multiply the zero the patch matrix would hold), then the
+/// GEMM epilogue — the product's `0 + acc` and the bias added afterwards.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn direct_s2_image<const OW: usize, const CB: usize>(
+    out_img: &mut [f32],
+    planes: &[f32],
+    geom: &PhaseGeom,
+    wt: &[f32],
+    bias: Option<&[f32]>,
+    co_n: usize,
+    k: usize,
+    oh: usize,
+) {
+    for co0 in (0..co_n).step_by(CB) {
+        let cob = CB.min(co_n - co0);
+        for y in 0..oh {
+            let mut acc = [[0.0f32; OW]; CB];
+            let mut t = 0;
+            for ci in 0..geom.c {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let start = geom.row(ci, 2 * y + ky, kx & 1) + (kx >> 1);
+                        let src: &[f32; OW] = planes[start..start + OW]
+                            .try_into()
+                            .expect("OW-sized source row");
+                        let wv = &wt[t * co_n + co0..][..CB];
+                        for (row, &w) in acc.iter_mut().zip(wv).take(cob) {
+                            for (o, &s) in row.iter_mut().zip(src.iter()) {
+                                *o = madd::<true>(*o, w, s);
+                            }
+                        }
+                        t += 1;
+                    }
+                }
+            }
+            for (j, row) in acc.iter().enumerate().take(cob) {
+                let b = bias.map(|b| b[co0 + j]);
+                let dst = &mut out_img[((co0 + j) * oh + y) * OW..][..OW];
+                for (o, &a) in dst.iter_mut().zip(row.iter()) {
+                    let prod = 0.0 + a;
+                    *o = b.map_or(prod, |b| prod + b);
+                }
+            }
+        }
+    }
+}
+
+/// AVX2+FMA instantiation of [`direct_s2_image`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn direct_s2_image_avx2<const OW: usize, const CB: usize>(
+    out_img: &mut [f32],
+    planes: &[f32],
+    geom: &PhaseGeom,
+    wt: &[f32],
+    bias: Option<&[f32]>,
+    co_n: usize,
+    k: usize,
+    oh: usize,
+) {
+    direct_s2_image::<OW, CB>(out_img, planes, geom, wt, bias, co_n, k, oh);
+}
+
+/// Runs the direct stride-2 convolution over a batch, one image at a time
+/// through a phase-plane copy (see [`direct_s2_applies`] for the shapes).
+#[allow(clippy::too_many_arguments)]
+fn conv2d_direct_s2(
+    tier: SimdTier,
+    input: &Tensor,
+    weight: &[f32],
+    bias: Option<&[f32]>,
+    f: usize,
+    k: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+    scratch: &mut Scratch,
+) -> Result<Tensor> {
+    let (n, c, h, w) = dims4(input)?;
+    let kdim = c * k * k;
+    let mut wt = scratch.take(kdim * f + S2_BLOCK_MAX);
+    transpose_into(&mut wt[..kdim * f], weight, f, kdim);
+    let geom = PhaseGeom::new(c, h, w, pad);
+    let mut planes = scratch.take(geom.len()?);
+    let mut out = vec![0.0f32; n * f * oh * ow];
+    for ni in 0..n {
+        geom.scatter(&mut planes, &input.data()[ni * c * h * w..][..c * h * w]);
+        let out_img = &mut out[ni * f * oh * ow..][..f * oh * ow];
+        let (p, wt) = (&planes, &wt);
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => {
+                // SAFETY: an Avx2Fma tier is only ever constructed after
+                // runtime verification that the CPU supports AVX2+FMA.
+                unsafe {
+                    match ow {
+                        8 => direct_s2_image_avx2::<8, 8>(out_img, p, &geom, wt, bias, f, k, oh),
+                        _ => direct_s2_image_avx2::<16, 4>(out_img, p, &geom, wt, bias, f, k, oh),
+                    }
+                }
+            }
+            _ => match ow {
+                8 => direct_s2_image::<8, 4>(out_img, p, &geom, wt, bias, f, k, oh),
+                _ => direct_s2_image::<16, 4>(out_img, p, &geom, wt, bias, f, k, oh),
+            },
+        }
+    }
+    scratch.put(planes);
+    scratch.put(wt);
+    Tensor::from_vec(out, &[n, f, oh, ow])
+}
+
+/// Direct stride-2 input gradient of one image, accumulated into
+/// zero-initialised phase planes `dpad` (padding positions collect
+/// contributions the crop then discards). `wk` holds the filters as
+/// `[C, K, F, K]` rows of taps (then [`S2_BLOCK_MAX`] zeros), so the `KB`
+/// taps of one filter are one fixed-size load; lanes past `K` read the
+/// next row and are never added.
+///
+/// Bit-identical to GEMM + [`col2im`]: each patch value keeps the GEMM's
+/// single-panel FMA chain over the filters from zero (then its `0 + acc`),
+/// and each input pixel adds its patches in col2im's `(oy, ox)` order —
+/// `oy` is the outer loop, and within one kernel row the taps run in
+/// descending `kx`, which is ascending `ox` at every target pixel. Taps are
+/// computed `KB` at a time, vectorised over the `OW` output columns.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn input_grad_s2_image<const OW: usize, const KB: usize>(
+    dpad: &mut [f32],
+    g_img: &[f32],
+    geom: &PhaseGeom,
+    wk: &[f32],
+    f: usize,
+    k: usize,
+    oh: usize,
+) {
+    for ci in 0..geom.c {
+        for oy in 0..oh {
+            for ky in 0..k {
+                let w_row = (ci * k + ky) * f * k;
+                for kx0 in (0..k).step_by(KB).rev() {
+                    let mut acc = [[0.0f32; OW]; KB];
+                    for fi in 0..f {
+                        let gs: &[f32; OW] = g_img[(fi * oh + oy) * OW..][..OW]
+                            .try_into()
+                            .expect("OW-sized gradient row");
+                        let wv: &[f32; KB] = wk[w_row + fi * k + kx0..][..KB]
+                            .try_into()
+                            .expect("KB-sized tap lanes");
+                        for j in 0..KB {
+                            for x in 0..OW {
+                                acc[j][x] = madd::<true>(acc[j][x], gs[x], wv[j]);
+                            }
+                        }
+                    }
+                    for (j, row) in acc.iter().enumerate().rev() {
+                        let kx = kx0 + j;
+                        if kx >= k {
+                            continue;
+                        }
+                        let start = geom.row(ci, 2 * oy + ky, kx & 1) + (kx >> 1);
+                        for (d, &a) in dpad[start..start + OW].iter_mut().zip(row.iter()) {
+                            *d += 0.0 + a;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// AVX2+FMA instantiation of [`input_grad_s2_image`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn input_grad_s2_image_avx2<const OW: usize, const KB: usize>(
+    dpad: &mut [f32],
+    g_img: &[f32],
+    geom: &PhaseGeom,
+    wk: &[f32],
+    f: usize,
+    k: usize,
+    oh: usize,
+) {
+    input_grad_s2_image::<OW, KB>(dpad, g_img, geom, wk, f, k, oh);
+}
+
+/// Direct stride-2 input gradient over a batch (validated dims only; the
+/// caller-supplied `input_dims` volume is overflow-checked before any
+/// allocation).
+#[allow(clippy::too_many_arguments)]
+fn input_grad_s2(
+    tier: SimdTier,
+    weight: &[f32],
+    grad_output: &Tensor,
+    input_dims: &[usize],
+    f: usize,
+    k: usize,
+    spec: ConvSpec,
+    scratch: &mut Scratch,
+) -> Result<Tensor> {
+    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
+    let (oh, ow) = (grad_output.dims()[2], grad_output.dims()[3]);
+    let mut d_input = vec![0.0f32; checked_volume(input_dims)?];
+    // [F, C, K, K] -> [C, K, F, K]: one filter's taps of one kernel row are
+    // contiguous.
+    let mut wk = scratch.take(f * c * k * k + S2_BLOCK_MAX);
+    for fi in 0..f {
+        for cky in 0..c * k {
+            wk[(cky * f + fi) * k..][..k].copy_from_slice(&weight[(fi * c * k + cky) * k..][..k]);
+        }
+    }
+    let geom = PhaseGeom::new(c, h, w, spec.padding);
+    let mut dpad = scratch.take_dirty(geom.len()?);
+    for ni in 0..n {
+        let g_img = &grad_output.data()[ni * f * oh * ow..][..f * oh * ow];
+        dpad.fill(0.0);
+        let (d, wk) = (&mut dpad, &wk);
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2Fma => {
+                // SAFETY: an Avx2Fma tier is only ever constructed after
+                // runtime verification that the CPU supports AVX2+FMA.
+                unsafe {
+                    match ow {
+                        8 => input_grad_s2_image_avx2::<8, 8>(d, g_img, &geom, wk, f, k, oh),
+                        _ => input_grad_s2_image_avx2::<16, 5>(d, g_img, &geom, wk, f, k, oh),
+                    }
+                }
+            }
+            _ => match ow {
+                8 => input_grad_s2_image::<8, 4>(d, g_img, &geom, wk, f, k, oh),
+                _ => input_grad_s2_image::<16, 2>(d, g_img, &geom, wk, f, k, oh),
+            },
+        }
+        geom.gather(&dpad, &mut d_input[ni * c * h * w..][..c * h * w]);
+    }
+    scratch.put(dpad);
+    scratch.put(wk);
+    Tensor::from_vec(d_input, input_dims)
+}
+
+/// The operands of the direct weight gradient.
+struct WgradOperands<'a> {
+    /// The zero-padded input batch.
+    xpad: &'a [f32],
+    /// Output gradients as `[N·OH·OW, fp]` rows: `F` filter lanes, zero
+    /// up to `fp`, a multiple of the kernel's filter block.
+    gmat: &'a [f32],
+    fp: usize,
+    /// Where each patch row `(ni, oy, ox)` starts in `xpad`; tap
+    /// `(ci, ky, kx)` adds a fixed offset to it.
+    row_bases: &'a [usize],
+    kdim: usize,
+}
+
+/// Widest tap block of the weight-gradient kernel; its tap-major output
+/// carries this many spare rows so the last block needs no bounds logic.
+const WGRAD_TAPS_MAX: usize = 12;
+
+/// One `FB`-filter × `KB`-tap block of the weight gradient
+/// `dW[f][t] = Σ_r g[r][f] · cols[r][t]`, vectorised over filters, added
+/// into the tap-major `dwt[t][fp]`.
+///
+/// Bit-identical to the im2col GEMM `gᵀ · cols` it replaces: every element
+/// runs the GEMM's FMA chain over patch rows in order, restarting from
+/// zero at each [`KC`]-row panel and adding the panel sum into the
+/// zero-initialised output, exactly as the GEMM's k-panels do. Padding
+/// taps read the zero border of the padded input, as they would read the
+/// patch matrix's zeros. Filter lanes past `F` and taps past the last one
+/// land in spare lanes and rows of `dwt`.
+#[inline(always)]
+fn weight_grad_block<const FB: usize, const KB: usize>(
+    dwt: &mut [f32],
+    ops: &WgradOperands,
+    offs: &[usize; KB],
+    f0: usize,
+    k0: usize,
+) {
+    for (panel, bases) in ops.row_bases.chunks(KC).enumerate() {
+        let g_panel = &ops.gmat[panel * KC * ops.fp..];
+        let mut acc = [[0.0f32; FB]; KB];
+        for (r, &base) in bases.iter().enumerate() {
+            let gv: &[f32; FB] = g_panel[r * ops.fp + f0..][..FB]
+                .try_into()
+                .expect("FB-sized gradient lanes");
+            for j in 0..KB {
+                let xv = ops.xpad[base + offs[j]];
+                for l in 0..FB {
+                    acc[j][l] = madd::<true>(acc[j][l], gv[l], xv);
+                }
+            }
+        }
+        for (j, taps) in acc.iter().enumerate() {
+            let dst = &mut dwt[(k0 + j) * ops.fp + f0..][..FB];
+            for (d, &a) in dst.iter_mut().zip(taps.iter()) {
+                *d += a;
+            }
+        }
+    }
+}
+
+/// Runs every filter × tap block of the weight gradient at one
+/// instantiation.
+#[inline(always)]
+fn weight_grad_blocks<const FB: usize, const KB: usize>(
+    dwt: &mut [f32],
+    ops: &WgradOperands,
+    tap_offs: &[usize],
+) {
+    for f0 in (0..ops.fp).step_by(FB) {
+        for k0 in (0..ops.kdim).step_by(KB) {
+            let kb = KB.min(ops.kdim - k0);
+            // Lanes past the last tap re-read tap `k0`.
+            let mut offs = [tap_offs[k0]; KB];
+            offs[..kb].copy_from_slice(&tap_offs[k0..k0 + kb]);
+            weight_grad_block::<FB, KB>(dwt, ops, &offs, f0, k0);
+        }
+    }
+}
+
+/// AVX2+FMA instantiation of [`weight_grad_blocks`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn weight_grad_blocks_avx2<const FB: usize, const KB: usize>(
+    dwt: &mut [f32],
+    ops: &WgradOperands,
+    tap_offs: &[usize],
+) {
+    weight_grad_blocks::<FB, KB>(dwt, ops, tap_offs);
+}
+
+/// Direct weight gradient of any convolution: `dW = gᵀ · im2col(x)`
+/// without the patch matrix. The input batch is zero-padded once, the
+/// gradients are reordered to `[N·OH·OW, F]` rows (zero lanes up to the
+/// filter block), and [`weight_grad_block`] reads each tap straight out of
+/// the padded input.
+#[allow(clippy::too_many_arguments)]
+fn weight_grad_direct(
+    tier: SimdTier,
+    input: &Tensor,
+    g: &[f32],
+    f: usize,
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+    oh: usize,
+    ow: usize,
+    scratch: &mut Scratch,
+) -> Result<Vec<f32>> {
+    let (n, c, h, w) = dims4(input)?;
+    let (ph, pw) = (h + 2 * spec.padding, w + 2 * spec.padding);
+    let hw = oh * ow;
+    let kdim = c * kh * kw;
+    let fb = match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2Fma if f > 8 => 16,
+        _ => 8,
+    };
+    let fp = f.div_ceil(fb) * fb;
+
+    let mut xpad = scratch.take(checked_volume(&[n, c, ph, pw])?);
+    for pi in 0..n * c {
+        for y in 0..h {
+            let start = (pi * ph + y + spec.padding) * pw + spec.padding;
+            xpad[start..start + w].copy_from_slice(&input.data()[(pi * h + y) * w..][..w]);
+        }
+    }
+    let gmat_len = checked_volume(&[n * hw, fp])?;
+    let gmat = if fp == f {
+        let mut gmat = scratch.take_dirty(gmat_len);
+        grad_to_gmat(&mut gmat, g, n, f, hw);
+        gmat
+    } else {
+        let mut gmat = scratch.take(gmat_len);
+        for ni in 0..n {
+            for fi in 0..f {
+                let src = &g[(ni * f + fi) * hw..(ni * f + fi + 1) * hw];
+                for (p, &v) in src.iter().enumerate() {
+                    gmat[(ni * hw + p) * fp + fi] = v;
+                }
+            }
+        }
+        gmat
+    };
+    let mut row_bases = Vec::with_capacity(n * hw);
+    for ni in 0..n {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                row_bases.push(ni * c * ph * pw + oy * spec.stride * pw + ox * spec.stride);
+            }
+        }
+    }
+    let mut tap_offs = Vec::with_capacity(kdim);
+    for ci in 0..c {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                tap_offs.push((ci * ph + ky) * pw + kx);
+            }
+        }
+    }
+    let ops = WgradOperands {
+        xpad: &xpad,
+        gmat: &gmat,
+        fp,
+        row_bases: &row_bases,
+        kdim,
+    };
+
+    let mut dwt = scratch.take((kdim + WGRAD_TAPS_MAX) * fp);
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2Fma => {
+            // SAFETY: an Avx2Fma tier is only ever constructed after
+            // runtime verification that the CPU supports AVX2+FMA.
+            unsafe {
+                if fb == 16 {
+                    weight_grad_blocks_avx2::<16, 6>(&mut dwt, &ops, &tap_offs);
+                } else {
+                    weight_grad_blocks_avx2::<8, WGRAD_TAPS_MAX>(&mut dwt, &ops, &tap_offs);
+                }
+            }
+        }
+        _ => weight_grad_blocks::<8, 4>(&mut dwt, &ops, &tap_offs),
+    }
+    let mut d_weight = vec![0.0f32; f * kdim];
+    for fi in 0..f {
+        for t in 0..kdim {
+            d_weight[fi * kdim + t] = dwt[t * fp + fi];
+        }
+    }
+    scratch.put(dwt);
+    scratch.put(gmat);
+    scratch.put(xpad);
+    Ok(d_weight)
+}
+
 /// Shared core of [`conv2d_with_scratch`] / [`conv2d_prepacked`].
 ///
 /// Narrow stride-1 convolutions take the register-blocked direct kernel
-/// ([`conv2d_direct_s1`]); everything else runs fused-im2col GEMM against
-/// the pre-transposed weights (`wt`, `[C·KH·KW, F]`, transposed here from
-/// `w_orig` when no pack is supplied) followed by the
-/// `[N·OH·OW, F]` → `[N, F, OH, OW]` reorder with bias. Both entry points
-/// dispatch identically, so prepacked and plain calls stay bit-identical.
+/// ([`conv2d_direct_s1`]) and `conv1`-style stride-2 ones the phase-plane
+/// kernel ([`conv2d_direct_s2`]); everything else runs [`conv2d_gemm`].
+/// Both entry points dispatch identically, so prepacked and plain calls
+/// stay bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_core(
     tier: SimdTier,
@@ -755,8 +1317,6 @@ fn conv2d_core(
     let (n, c, h, w) = dims4(input)?;
     let oh = spec.output_extent(h, kh)?;
     let ow = spec.output_extent(w, kw)?;
-    let rows = n * oh * ow;
-    let kdim = c * kh * kw;
 
     if direct_s1_applies(spec, kh, kw, ow) {
         let mut out = vec![0.0f32; n * f * oh * ow];
@@ -779,6 +1339,45 @@ fn conv2d_core(
         );
         return Tensor::from_vec(out, &[n, f, oh, ow]);
     }
+    if direct_s2_applies(spec, kh, kw, ow, c * kh * kw) {
+        return conv2d_direct_s2(
+            tier,
+            input,
+            w_orig,
+            bias.map(|b| b.data()),
+            f,
+            kh,
+            spec.padding,
+            oh,
+            ow,
+            scratch,
+        );
+    }
+    conv2d_gemm(tier, input, w_orig, wt, f, kh, kw, bias, spec, scratch)
+}
+
+/// The fallback forward for shapes no direct kernel covers: fused-im2col
+/// GEMM against the pre-transposed weights (`wt`, `[C·KH·KW, F]`,
+/// transposed here from `w_orig` when no pack is supplied) followed by the
+/// `[N·OH·OW, F]` → `[N, F, OH, OW]` reorder and the bias.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_gemm(
+    tier: SimdTier,
+    input: &Tensor,
+    w_orig: &[f32],
+    wt: Option<&[f32]>,
+    f: usize,
+    kh: usize,
+    kw: usize,
+    bias: Option<&Tensor>,
+    spec: ConvSpec,
+    scratch: &mut Scratch,
+) -> Result<Tensor> {
+    let (n, c, h, w) = dims4(input)?;
+    let oh = spec.output_extent(h, kh)?;
+    let ow = spec.output_extent(w, kw)?;
+    let rows = n * oh * ow;
+    let kdim = c * kh * kw;
 
     // prod: [N*OH*OW, F], with the im2col patch rows generated inside the
     // GEMM's packing step — the patch matrix is never materialized.
@@ -846,9 +1445,9 @@ fn check_conv_bias(bias: Option<&Tensor>, f: usize) -> Result<()> {
     Ok(())
 }
 
-/// [`conv2d`] with an explicit workspace pool: the im2col patch matrix, the
-/// packed (transposed) weight matrix and the GEMM product are all drawn from
-/// `scratch`, so repeated forward passes allocate nothing.
+/// [`conv2d`] with an explicit workspace pool: padded input copies, packed
+/// weights and GEMM products are all drawn from `scratch`, so repeated
+/// forward passes allocate nothing.
 ///
 /// # Errors
 ///
@@ -991,22 +1590,17 @@ pub(crate) fn conv2d_backward_with_scratch_t(
     scratch: &mut Scratch,
 ) -> Result<Conv2dGrads> {
     let (n, c, h, w) = dims4(input)?;
-    let (f, _, kh, kw) = dims4(weight)?;
+    let (f, wc, kh, kw) = dims4(weight)?;
     let (gn, gf, oh, ow) = dims4(grad_output)?;
     let exp_oh = spec.output_extent(h, kh)?;
     let exp_ow = spec.output_extent(w, kw)?;
-    if gn != n || gf != f || oh != exp_oh || ow != exp_ow {
+    if gn != n || gf != f || wc != c || oh != exp_oh || ow != exp_ow {
         return Err(TensorError::ShapeMismatch {
             left: grad_output.dims().to_vec(),
             right: vec![n, f, exp_oh, exp_ow],
         });
     }
-    let rows = n * oh * ow;
-    let kdim = c * kh * kw;
     let hw = oh * ow;
-    // `rows` and `kdim` each fit (they index real tensors), but their
-    // product sizes the im2col workspace and can overflow on its own.
-    let cols_len = checked_volume(&[rows, kdim])?;
 
     // Bias gradients: plane sums of grad_output, in (image, filter) order.
     let g = grad_output.data();
@@ -1018,27 +1612,11 @@ pub(crate) fn conv2d_backward_with_scratch_t(
         }
     }
 
-    let mut cols = scratch.take(cols_len);
-    im2col_into(input, kh, kw, spec, oh, ow, &mut cols);
-
-    // dW = gmatᵀ (F×M) · cols (M×K). The transpose is assembled from
-    // grad_output's own planes — row `fi` of gmatᵀ is the concatenation of
-    // every image's plane `fi`, so it packs as contiguous copies.
-    let mut gt = scratch.take_dirty(f * rows);
-    for ni in 0..n {
-        for fi in 0..f {
-            gt[fi * rows + ni * hw..fi * rows + (ni + 1) * hw]
-                .copy_from_slice(&g[(ni * f + fi) * hw..(ni * f + fi + 1) * hw]);
-        }
-    }
-    let mut d_weight = vec![0.0f32; f * kdim];
-    gemm_into(tier, &mut d_weight, &gt, &cols, f, rows, kdim);
-    scratch.put(gt);
-    scratch.put(cols);
+    let d_weight = weight_grad_direct(tier, input, g, f, kh, kw, spec, oh, ow, scratch)?;
 
     // d_input through the shared input-gradient entry point — the same
-    // dispatch (direct transposed kernel or GEMM + col2im) the batched
-    // gradient engine uses, so the two backwards stay bit-identical.
+    // dispatch (direct kernels or GEMM + col2im) the batched gradient
+    // engine uses, so the two backwards stay bit-identical.
     let d_input =
         conv2d_input_grad_with_scratch_t(tier, weight, grad_output, &[n, c, h, w], spec, scratch)?;
 
@@ -1064,17 +1642,16 @@ fn grad_to_gmat(gmat: &mut [f32], g: &[f32], n: usize, f: usize, hw: usize) {
 
 /// Input gradient of [`conv2d`] **only** — the backward path attack
 /// generation needs: adversarial optimizers differentiate the loss with
-/// respect to the *image*, never the weights, so the `dW` GEMM, its
-/// `im2col` of the forward input and the bias reduction of
-/// [`conv2d_backward_with_scratch`] are pure overhead there. This computes
-/// `d_input = col2im(g · W)` alone — a blocked per-image transpose of the
-/// gradients, one GEMM, and the stripe-structured [`col2im`] fold — drawing
-/// every workspace buffer from `scratch`, with the receiver-side layer
-/// staying immutable (the caller supplies the recorded `input_dims`).
+/// respect to the *image*, never the weights, so the weight and bias
+/// gradients of [`conv2d_backward_with_scratch`] are pure overhead there.
+/// This computes `d_input = col2im(g · W)` alone — through a direct kernel
+/// for the stride-1 and stride-2 shapes they cover, otherwise one GEMM and
+/// the stripe-structured [`col2im`] fold — drawing every workspace buffer
+/// from `scratch`, with the receiver-side layer staying immutable (the
+/// caller supplies the recorded `input_dims`).
 ///
 /// Produces exactly the `d_input` that [`conv2d_backward_with_scratch`]
-/// returns on the same operands (same GEMM and fold, same accumulation
-/// order).
+/// returns on the same operands (that backward calls this).
 ///
 /// # Errors
 ///
@@ -1138,6 +1715,18 @@ pub(crate) fn conv2d_input_grad_with_scratch_t(
             input_dims,
             f,
             c,
+            kh,
+            spec,
+            scratch,
+        );
+    }
+    if direct_s2_applies(spec, kh, kw, ow, f) {
+        return input_grad_s2(
+            tier,
+            weight.data(),
+            grad_output,
+            input_dims,
+            f,
             kh,
             spec,
             scratch,
@@ -1225,6 +1814,18 @@ pub(crate) fn conv2d_input_grad_prepacked_t(
                 scratch,
             );
         }
+    }
+    if direct_s2_applies(spec, kh, kw, ow, f) {
+        return input_grad_s2(
+            tier,
+            weights.w.data(),
+            grad_output,
+            input_dims,
+            f,
+            kh,
+            spec,
+            scratch,
+        );
     }
     input_grad_gemm(
         tier,
@@ -1323,7 +1924,8 @@ pub struct DepthwiseGrads {
 /// Computes one stride-1 depthwise output plane as `KH·KW` shifted-row
 /// axpy passes — no im2col, no per-pixel bounds checks, and the same
 /// per-output-element accumulation order as the gather loop (so results are
-/// bit-identical to it).
+/// bit-identical to it). The paddings are per axis (and may be negative)
+/// so the input gradient can run through here as a flipped-kernel pass.
 #[allow(clippy::too_many_arguments)]
 fn depthwise_plane_stride1(
     out_plane: &mut [f32],
@@ -1336,16 +1938,16 @@ fn depthwise_plane_stride1(
     ow: usize,
     kh: usize,
     kw: usize,
-    pad: isize,
+    (pad_y, pad_x): (isize, isize),
 ) {
     out_plane.fill(bias);
     for ky in 0..kh {
-        let dy = ky as isize - pad;
+        let dy = ky as isize - pad_y;
         let oy_lo = (-dy).max(0) as usize;
         let oy_hi = ((h as isize - dy).min(oh as isize)).max(0) as usize;
         for kx in 0..kw {
             let weight = kernel[ky * kw + kx];
-            let dx = kx as isize - pad;
+            let dx = kx as isize - pad_x;
             let ox_lo = (-dx).max(0) as usize;
             let ox_hi = ((w as isize - dx).min(ow as isize)).max(0) as usize;
             if ox_lo >= ox_hi {
@@ -1455,7 +2057,19 @@ pub fn depthwise_conv2d(
         let kernel = &wdata[ci * kh * kw..(ci + 1) * kh * kw];
         let b = bias.map_or(0.0, |b| b.data()[ci]);
         if spec.stride == 1 {
-            depthwise_plane_stride1(out_plane, in_plane, kernel, b, h, w, oh, ow, kh, kw, pad);
+            depthwise_plane_stride1(
+                out_plane,
+                in_plane,
+                kernel,
+                b,
+                h,
+                w,
+                oh,
+                ow,
+                kh,
+                kw,
+                (pad, pad),
+            );
         } else {
             depthwise_plane_general(out_plane, in_plane, kernel, b, h, w, oh, ow, kh, kw, spec);
         }
@@ -1473,14 +2087,58 @@ pub fn depthwise_conv2d(
     Tensor::from_vec(out, &[n, c, oh, ow])
 }
 
+/// One input-gradient plane of a depthwise convolution by scattering each
+/// non-zero output gradient through the kernel taps (any stride).
+#[allow(clippy::too_many_arguments)]
+fn depthwise_input_plane_scatter(
+    d_in: &mut [f32],
+    g_plane: &[f32],
+    kernel: &[f32],
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    kh: usize,
+    kw: usize,
+    spec: ConvSpec,
+) {
+    let pad = spec.padding as isize;
+    for oy in 0..oh {
+        let y0 = (oy * spec.stride) as isize - pad;
+        for ox in 0..ow {
+            let go = g_plane[oy * ow + ox];
+            if go == 0.0 {
+                continue;
+            }
+            let x0 = (ox * spec.stride) as isize - pad;
+            for ky in 0..kh {
+                let y = y0 + ky as isize;
+                if y < 0 || y >= h as isize {
+                    continue;
+                }
+                let d_row = y as usize * w;
+                let k_row = ky * kw;
+                for kx in 0..kw {
+                    let xp = x0 + kx as isize;
+                    if xp < 0 || xp >= w as isize {
+                        continue;
+                    }
+                    d_in[d_row + xp as usize] += go * kernel[k_row + kx];
+                }
+            }
+        }
+    }
+}
+
 /// Input gradient of [`depthwise_conv2d`] **only** — the immutable
 /// attack-generation backward: no weight or bias gradients, no access to
 /// the forward input (only its recorded `input_dims`), so a frozen layer
 /// can serve many batch shards concurrently.
 ///
 /// Produces exactly the `d_input` that [`depthwise_conv2d_backward`]
-/// returns on the same operands (same scatter loop, same accumulation
-/// order).
+/// returns on the same operands (it is that backward's first pass).
+/// Stride-1 calls run as a flipped-kernel shifted-row convolution; other
+/// strides scatter each output gradient through the taps.
 ///
 /// # Errors
 ///
@@ -1516,41 +2174,40 @@ pub fn depthwise_input_grad(
     }
     let wd = weight.data();
     let g = grad_output.data();
-    let pad = spec.padding as isize;
     let parallel = n * c * oh * ow * kh * kw >= PAR_WORK && rayon::current_num_threads() > 1;
 
-    // Every (image, channel) plane scatters only into itself. The caller
+    // Stride 1 (the only configuration BlurNet uses): the input gradient
+    // is the stride-1 depthwise convolution of `grad_output` with each
+    // kernel flipped (a reversed `KH·KW` slice) and padding `K−1−P`, so it
+    // runs as the forward's shifted-row pass. That pass takes each pixel's
+    // taps in (ky, kx) order of the flipped kernel — ascending (oy, ox),
+    // the scatter's order — and its products `w·g` are the scatter's
+    // `g·w`, so the result is bit-identical to the scatter (the scatter's
+    // zero-gradient skip only drops `±0` terms, which cannot change a sum
+    // that starts at `+0`).
+    let flipped: Vec<f32> = if spec.stride == 1 {
+        wd.chunks_exact(kh * kw)
+            .flat_map(|k| k.iter().rev().copied())
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let pad = spec.padding as isize;
+    let flip_pad = (kh as isize - 1 - pad, kw as isize - 1 - pad);
+
+    // Every (image, channel) plane writes only itself. The caller
     // supplies `input_dims`, so its volume is overflow-checked before the
     // allocation.
     let mut d_input = vec![0.0f32; checked_volume(input_dims)?];
     let input_plane = |pi: usize, d_in: &mut [f32]| {
         let ci = pi % c;
-        let kernel = &wd[ci * kh * kw..(ci + 1) * kh * kw];
         let g_plane = &g[pi * oh * ow..(pi + 1) * oh * ow];
-        for oy in 0..oh {
-            let y0 = (oy * spec.stride) as isize - pad;
-            for ox in 0..ow {
-                let go = g_plane[oy * ow + ox];
-                if go == 0.0 {
-                    continue;
-                }
-                let x0 = (ox * spec.stride) as isize - pad;
-                for ky in 0..kh {
-                    let y = y0 + ky as isize;
-                    if y < 0 || y >= h as isize {
-                        continue;
-                    }
-                    let d_row = y as usize * w;
-                    let k_row = ky * kw;
-                    for kx in 0..kw {
-                        let xp = x0 + kx as isize;
-                        if xp < 0 || xp >= w as isize {
-                            continue;
-                        }
-                        d_in[d_row + xp as usize] += go * kernel[k_row + kx];
-                    }
-                }
-            }
+        if spec.stride == 1 {
+            let kernel = &flipped[ci * kh * kw..(ci + 1) * kh * kw];
+            depthwise_plane_stride1(d_in, g_plane, kernel, 0.0, oh, ow, h, w, kh, kw, flip_pad);
+        } else {
+            let kernel = &wd[ci * kh * kw..(ci + 1) * kh * kw];
+            depthwise_input_plane_scatter(d_in, g_plane, kernel, h, w, oh, ow, kh, kw, spec);
         }
     };
     if parallel {
@@ -1582,6 +2239,12 @@ pub fn depthwise_conv2d_backward(
     spec: ConvSpec,
 ) -> Result<DepthwiseGrads> {
     let (n, c, h, w) = dims4(input)?;
+    if weight.shape().rank() != 3 || weight.dims()[0] != c {
+        return Err(TensorError::ShapeMismatch {
+            left: weight.dims().to_vec(),
+            right: vec![c, 0, 0],
+        });
+    }
     let (kh, kw) = (weight.dims()[1], weight.dims()[2]);
     let oh = spec.output_extent(h, kh)?;
     let ow = spec.output_extent(w, kw)?;
@@ -2172,6 +2835,331 @@ mod tests {
         let back = col2im(&y, &[1, 2, 6, 6], 3, 3, spec).unwrap();
         let rhs = x.dot(&back).unwrap();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    /// Both dispatch tiers this host can run.
+    fn host_tiers() -> Vec<SimdTier> {
+        let mut tiers = vec![SimdTier::Scalar];
+        if SimdTier::widest_supported() != SimdTier::Scalar {
+            tiers.push(SimdTier::widest_supported());
+        }
+        tiers
+    }
+
+    fn assert_bitwise(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: lengths");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {x} vs {y} at {i}");
+        }
+    }
+
+    /// Seeded stride-2 shapes the direct kernels cover: k ∈ {3, 5}, every
+    /// pad < k, OW ∈ {8, 16} (input widths at both ends of the range that
+    /// yields that OW), batches {1, 3, 16}. Yields
+    /// `(n, c, f, h, w, k, spec, ow)`.
+    #[allow(clippy::type_complexity)]
+    fn stride2_shapes(
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<(usize, usize, usize, usize, usize, usize, ConvSpec, usize)> {
+        use rand::Rng;
+        let mut shapes = Vec::new();
+        for k in [3usize, 5] {
+            for pad in 0..k {
+                for ow in [8usize, 16] {
+                    for n in [1usize, 3, 16] {
+                        let w = 2 * (ow - 1) + k - 2 * pad + rng.gen_range(0..2);
+                        let h = rng.gen_range(k.max(2 * pad + 1)..20);
+                        let (c, f) = (rng.gen_range(1..5), rng.gen_range(1..11));
+                        let spec = ConvSpec::new(2, pad).unwrap();
+                        assert_eq!(spec.output_extent(w, k).unwrap(), ow);
+                        shapes.push((n, c, f, h, w, k, spec, ow));
+                    }
+                }
+            }
+        }
+        shapes
+    }
+
+    /// Scales a tensor so products of two such tensors underflow: their
+    /// FMA chains then produce signed zeros, which the GEMM epilogue's
+    /// `0 + acc` normalises.
+    fn tiny(t: &Tensor) -> Tensor {
+        t.map(|v| v * 1e-25)
+    }
+
+    #[test]
+    fn direct_s2_forward_matches_gemm_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(101);
+        for (n, c, f, h, w, k, spec, ow) in stride2_shapes(&mut rng) {
+            assert!(direct_s2_applies(spec, k, k, ow, c * k * k));
+            let input = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
+            let weight = Tensor::rand_uniform(&[f, c, k, k], -1.0, 1.0, &mut rng);
+            let bias = Tensor::rand_uniform(&[f], -0.5, 0.5, &mut rng);
+            let packed = PackedConvWeights::pack(&weight).unwrap();
+            let under = (tiny(&input), tiny(&weight));
+            for tier in host_tiers() {
+                let mut scratch = Scratch::new();
+                for (x, wt, b) in [
+                    (&input, &weight, Some(&bias)),
+                    (&input, &weight, None),
+                    (&under.0, &under.1, None),
+                ] {
+                    let what = format!(
+                        "{tier:?} n{n} c{c} f{f} {h}x{w} k{k} {spec:?} bias {}",
+                        b.is_some()
+                    );
+                    let direct = conv2d_with_scratch_t(tier, x, wt, b, spec, &mut scratch).unwrap();
+                    let gemm =
+                        conv2d_gemm(tier, x, wt.data(), None, f, k, k, b, spec, &mut scratch)
+                            .unwrap();
+                    assert_bitwise(direct.data(), gemm.data(), &what);
+                }
+                let direct =
+                    conv2d_prepacked_t(tier, &input, &packed, Some(&bias), spec, &mut scratch)
+                        .unwrap();
+                let gemm = conv2d_gemm(
+                    tier,
+                    &input,
+                    weight.data(),
+                    Some(packed.wt.data()),
+                    f,
+                    k,
+                    k,
+                    Some(&bias),
+                    spec,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_bitwise(direct.data(), gemm.data(), "prepacked");
+            }
+        }
+    }
+
+    #[test]
+    fn direct_s2_input_grad_matches_gemm_col2im_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(103);
+        for (n, c, f, h, w, k, spec, ow) in stride2_shapes(&mut rng) {
+            assert!(direct_s2_applies(spec, k, k, ow, f));
+            let dims = [n, c, h, w];
+            let oh = spec.output_extent(h, k).unwrap();
+            let weight = Tensor::rand_uniform(&[f, c, k, k], -1.0, 1.0, &mut rng);
+            let grad = Tensor::rand_uniform(&[n, f, oh, ow], -1.0, 1.0, &mut rng);
+            let packed = PackedConvWeights::pack(&weight).unwrap();
+            for tier in host_tiers() {
+                let mut scratch = Scratch::new();
+                for (wt, g) in [(&weight, &grad), (&tiny(&weight), &tiny(&grad))] {
+                    let what = format!("{tier:?} n{n} c{c} f{f} {h}x{w} k{k} {spec:?}");
+                    let direct =
+                        conv2d_input_grad_with_scratch_t(tier, wt, g, &dims, spec, &mut scratch)
+                            .unwrap();
+                    let gemm =
+                        input_grad_gemm(tier, wt.data(), g, &dims, f, k, k, spec, &mut scratch)
+                            .unwrap();
+                    assert_bitwise(direct.data(), gemm.data(), &what);
+                }
+                let direct =
+                    conv2d_input_grad_prepacked_t(tier, &packed, &grad, &dims, spec, &mut scratch)
+                        .unwrap();
+                let gemm = input_grad_gemm(
+                    tier,
+                    weight.data(),
+                    &grad,
+                    &dims,
+                    f,
+                    k,
+                    k,
+                    spec,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_bitwise(direct.data(), gemm.data(), "prepacked");
+            }
+        }
+    }
+
+    /// The im2col + GEMM weight gradient the direct kernel replaced, kept
+    /// as its bit-identity oracle.
+    fn weight_grad_im2col_gemm(
+        tier: SimdTier,
+        input: &Tensor,
+        grad: &Tensor,
+        kh: usize,
+        kw: usize,
+        spec: ConvSpec,
+    ) -> Vec<f32> {
+        let (n, c, _, _) = dims4(input).unwrap();
+        let (_, f, oh, ow) = dims4(grad).unwrap();
+        let (rows, kdim, hw) = (n * oh * ow, c * kh * kw, oh * ow);
+        let mut cols = vec![0.0f32; rows * kdim];
+        im2col_into(input, kh, kw, spec, oh, ow, &mut cols);
+        let g = grad.data();
+        let mut gt = vec![0.0f32; f * rows];
+        for ni in 0..n {
+            for fi in 0..f {
+                gt[fi * rows + ni * hw..fi * rows + (ni + 1) * hw]
+                    .copy_from_slice(&g[(ni * f + fi) * hw..(ni * f + fi + 1) * hw]);
+            }
+        }
+        let mut d_weight = vec![0.0f32; f * kdim];
+        gemm_into(tier, &mut d_weight, &gt, &cols, f, rows, kdim);
+        d_weight
+    }
+
+    /// ReLU-style masking: about half the entries become `+0` or `−0`.
+    fn relu_mask(t: &Tensor) -> Tensor {
+        let mut out = t.clone();
+        for (i, v) in out.data_mut().iter_mut().enumerate() {
+            if *v < 0.0 {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn direct_weight_grad_matches_im2col_gemm_bitwise() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(107);
+        // (n, h, w, k, stride, pad): N·OH·OW spans 1–5 KC-row panels,
+        // mostly ending in a ragged one, at both strides.
+        let shapes = [
+            (1usize, 5usize, 5usize, 3usize, 1usize, 1usize),
+            (16, 16, 16, 3, 1, 1),
+            (9, 7, 9, 3, 1, 1),
+            (3, 32, 32, 5, 2, 2),
+            (5, 19, 13, 5, 2, 1),
+            (16, 8, 8, 3, 1, 1),
+            (7, 11, 6, 2, 1, 0),
+            (2, 9, 9, 3, 3, 2),
+        ];
+        for (n, h, w, k, stride, pad) in shapes {
+            let spec = ConvSpec::new(stride, pad).unwrap();
+            let (oh, ow) = (
+                spec.output_extent(h, k).unwrap(),
+                spec.output_extent(w, k).unwrap(),
+            );
+            for f in [1usize, 8, 11, 16, 32, 37] {
+                let c = rng.gen_range(1..5);
+                let input = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
+                let weight = Tensor::rand_uniform(&[f, c, k, k], -1.0, 1.0, &mut rng);
+                let grad = relu_mask(&Tensor::rand_uniform(&[n, f, oh, ow], -1.0, 1.0, &mut rng));
+                for tier in host_tiers() {
+                    let what = format!("{tier:?} n{n} c{c} f{f} {h}x{w} k{k} {spec:?}");
+                    let mut scratch = Scratch::new();
+                    let grads = conv2d_backward_with_scratch_t(
+                        tier,
+                        &input,
+                        &weight,
+                        &grad,
+                        spec,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    let oracle = weight_grad_im2col_gemm(tier, &input, &grad, k, k, spec);
+                    assert_bitwise(grads.d_weight.data(), &oracle, &what);
+                    let under =
+                        weight_grad_im2col_gemm(tier, &tiny(&input), &tiny(&grad), k, k, spec);
+                    let direct = weight_grad_direct(
+                        tier,
+                        &tiny(&input),
+                        tiny(&grad).data(),
+                        f,
+                        k,
+                        k,
+                        spec,
+                        oh,
+                        ow,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    assert_bitwise(&direct, &under, &format!("{what} (underflow)"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_kernels_handle_empty_batches_and_channels() {
+        let spec = ConvSpec::new(2, 2).unwrap();
+        let bias = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[3]).unwrap();
+        for (n, c) in [(2usize, 0usize), (0, 3)] {
+            let input = Tensor::zeros(&[n, c, 31, 31]);
+            let weight = Tensor::zeros(&[3, c, 5, 5]);
+            let mut scratch = Scratch::new();
+            for tier in host_tiers() {
+                let direct =
+                    conv2d_with_scratch_t(tier, &input, &weight, Some(&bias), spec, &mut scratch)
+                        .unwrap();
+                let gemm = conv2d_gemm(
+                    tier,
+                    &input,
+                    weight.data(),
+                    None,
+                    3,
+                    5,
+                    5,
+                    Some(&bias),
+                    spec,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_bitwise(direct.data(), gemm.data(), "forward");
+                let grad = Tensor::ones(direct.dims());
+                let grads = conv2d_backward_with_scratch_t(
+                    tier,
+                    &input,
+                    &weight,
+                    &grad,
+                    spec,
+                    &mut scratch,
+                )
+                .unwrap();
+                assert_eq!(grads.d_input.dims(), input.dims());
+                let oracle = weight_grad_im2col_gemm(tier, &input, &grad, 5, 5, spec);
+                assert_bitwise(grads.d_weight.data(), &oracle, "d_weight");
+            }
+        }
+    }
+
+    #[test]
+    fn depthwise_input_grad_flipped_pass_matches_scatter_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(109);
+        for k in [3usize, 5, 7] {
+            // "same", valid, maximal and beyond-kernel padding (the last
+            // gives the flipped pass a negative padding).
+            for pad in [k / 2, 0, k - 1, k + 1] {
+                let spec = ConvSpec::new(1, pad).unwrap();
+                let (n, c, h, w) = (3, 4, 16, 13);
+                let (oh, ow) = (
+                    spec.output_extent(h, k).unwrap(),
+                    spec.output_extent(w, k).unwrap(),
+                );
+                let weight = Tensor::rand_uniform(&[c, k, k], -1.0, 1.0, &mut rng);
+                let grad = relu_mask(&Tensor::rand_uniform(&[n, c, oh, ow], -1.0, 1.0, &mut rng));
+                assert!(grad
+                    .data()
+                    .iter()
+                    .any(|v| v.to_bits() == (-0.0f32).to_bits()));
+                let fast = depthwise_input_grad(&weight, &grad, &[n, c, h, w], spec).unwrap();
+                let mut scatter = vec![0.0f32; n * c * h * w];
+                for (pi, d_in) in scatter.chunks_mut(h * w).enumerate() {
+                    let ci = pi % c;
+                    depthwise_input_plane_scatter(
+                        d_in,
+                        &grad.data()[pi * oh * ow..(pi + 1) * oh * ow],
+                        &weight.data()[ci * k * k..(ci + 1) * k * k],
+                        h,
+                        w,
+                        oh,
+                        ow,
+                        k,
+                        k,
+                        spec,
+                    );
+                }
+                assert_bitwise(fast.data(), &scatter, &format!("k{k} pad{pad}"));
+            }
+        }
     }
 
     #[test]

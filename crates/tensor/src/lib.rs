@@ -2,11 +2,11 @@
 //!
 //! The crate provides exactly the numeric substrate the rest of the
 //! workspace needs: a dense row-major [`Tensor`], blocked matrix
-//! multiplication, im2col-based 2-D convolution (regular and depthwise)
-//! with full gradients, max-pooling, separable blur, and seeded weight
-//! initializers — all reachable through the [`Backend`] trait, whose
-//! [`CpuBackend`] implementation fixes its SIMD dispatch tier once at
-//! construction (see [`SimdTier`]).
+//! multiplication, 2-D convolution (regular and depthwise; direct kernels
+//! with an im2col GEMM fallback) with full gradients, max-pooling,
+//! separable blur, and seeded weight initializers — all reachable through
+//! the [`Backend`] trait, whose [`CpuBackend`] implementation fixes its
+//! SIMD dispatch tier once at construction (see [`SimdTier`]).
 //!
 //! # Example
 //!

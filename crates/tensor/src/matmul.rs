@@ -25,8 +25,10 @@ use crate::backend::SimdTier;
 use crate::{Result, Scratch, Tensor, TensorError};
 
 /// k-panel size: the active `KC × NR` slice of `b` plus `MR × KC` of `a`
-/// fit in L1/L2.
-const KC: usize = 256;
+/// fit in L1/L2. Each output element sums one FMA chain per panel, so the
+/// direct convolution kernels that must match this core bit for bit
+/// mirror the panel boundaries (see `conv`).
+pub(crate) const KC: usize = 256;
 /// Rows per parallel work unit.
 const MC: usize = 64;
 /// Minimum `2·m·k·n` before the row loop fans out over rayon.

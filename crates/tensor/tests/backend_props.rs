@@ -50,6 +50,129 @@ fn assert_bits_equal(scalar: &Tensor, simd: &Tensor, what: &str) -> Result<(), T
     Ok(())
 }
 
+/// Naive loop convolution in f64: the forward output, plus for each
+/// element the sum of its terms' magnitudes (the scale its f32 rounding
+/// error is measured against).
+fn naive_conv2d(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: ConvSpec,
+) -> (Vec<f64>, Vec<f64>) {
+    let d = input.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (f, k) = (weight.dims()[0], weight.dims()[2]);
+    let (oh, ow) = (
+        spec.output_extent(h, k).unwrap(),
+        spec.output_extent(w, k).unwrap(),
+    );
+    let (mut out, mut scale) = (Vec::new(), Vec::new());
+    for ni in 0..n {
+        for fi in 0..f {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let b = f64::from(bias.data()[fi]);
+                    let (mut acc, mut mag) = (b, b.abs());
+                    for_each_tap(c, k, h, w, spec, oy, ox, |ci, ky, kx, y, x| {
+                        let t = f64::from(input.data()[((ni * c + ci) * h + y) * w + x])
+                            * f64::from(weight.data()[((fi * c + ci) * k + ky) * k + kx]);
+                        acc += t;
+                        mag += t.abs();
+                    });
+                    out.push(acc);
+                    scale.push(mag);
+                }
+            }
+        }
+    }
+    (out, scale)
+}
+
+/// Calls `body(ci, ky, kx, y, x)` for every in-image tap of output pixel
+/// `(oy, ox)`.
+#[allow(clippy::too_many_arguments)]
+fn for_each_tap(
+    c: usize,
+    k: usize,
+    h: usize,
+    w: usize,
+    spec: ConvSpec,
+    oy: usize,
+    ox: usize,
+    mut body: impl FnMut(usize, usize, usize, usize, usize),
+) {
+    for ci in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let y = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                let x = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                if y >= 0 && x >= 0 && (y as usize) < h && (x as usize) < w {
+                    body(ci, ky, kx, y as usize, x as usize);
+                }
+            }
+        }
+    }
+}
+
+/// Naive loop input and weight gradients in f64, each with its per-element
+/// term-magnitude scale: `(d_input, d_input scale, d_weight, d_weight scale)`.
+fn naive_conv2d_grads(
+    input: &Tensor,
+    weight: &Tensor,
+    grad: &Tensor,
+    spec: ConvSpec,
+) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    let d = input.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (f, k) = (weight.dims()[0], weight.dims()[2]);
+    let (oh, ow) = (grad.dims()[2], grad.dims()[3]);
+    let mut d_in = vec![0.0f64; input.len()];
+    let mut d_in_scale = vec![0.0f64; input.len()];
+    let mut d_w = vec![0.0f64; weight.len()];
+    let mut d_w_scale = vec![0.0f64; weight.len()];
+    for ni in 0..n {
+        for fi in 0..f {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let g = f64::from(grad.data()[((ni * f + fi) * oh + oy) * ow + ox]);
+                    for_each_tap(c, k, h, w, spec, oy, ox, |ci, ky, kx, y, x| {
+                        let xi = ((ni * c + ci) * h + y) * w + x;
+                        let wi = ((fi * c + ci) * k + ky) * k + kx;
+                        let t_in = g * f64::from(weight.data()[wi]);
+                        d_in[xi] += t_in;
+                        d_in_scale[xi] += t_in.abs();
+                        let t_w = g * f64::from(input.data()[xi]);
+                        d_w[wi] += t_w;
+                        d_w_scale[wi] += t_w.abs();
+                    });
+                }
+            }
+        }
+    }
+    (d_in, d_in_scale, d_w, d_w_scale)
+}
+
+/// Asserts `|got − exact| ≤ 1e-5 · (1 + Σ|terms|)` element by element.
+fn assert_near_naive(
+    got: &Tensor,
+    exact: &[f64],
+    scale: &[f64],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), exact.len(), "{} length", what);
+    for (i, ((&g, &e), &s)) in got.data().iter().zip(exact).zip(scale).enumerate() {
+        prop_assert!(
+            (f64::from(g) - e).abs() <= 1e-5 * (1.0 + s),
+            "{}: {} vs naive {} at flat index {}",
+            what,
+            g,
+            e,
+            i
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -140,6 +263,70 @@ proptest! {
             &simd.conv2d_input_grad_prepacked(&packed, &grad, dims, spec, &mut Scratch::new()).unwrap(),
             "conv2d_input_grad_prepacked",
         )?;
+    }
+
+    /// Stride-2 shapes the direct `conv1`-style kernels cover (k ∈ {3, 5},
+    /// pad < k, OW ∈ {8, 16}, batches up to 16): every convolution entry
+    /// point is bit-identical across tiers and within 1e-5 of the naive
+    /// f64 loops, relative to each element's sum of term magnitudes.
+    #[test]
+    fn conv2d_stride2_cross_dispatch(
+        seed in 0u64..1_000_000,
+        n_pick in 0usize..3,
+        c in 1usize..4,
+        f in 1usize..11,
+        k_pick in 0usize..2,
+        pad_pick in 0usize..5,
+        ow_pick in 0usize..2,
+        extra in 0usize..2,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (scalar, simd) = tiers();
+        let (n, k, ow) = ([1usize, 3, 16][n_pick], [3usize, 5][k_pick], [8usize, 16][ow_pick]);
+        let pad = pad_pick % k;
+        let hw = 2 * (ow - 1) + k - 2 * pad + extra;
+        let spec = ConvSpec::new(2, pad).unwrap();
+        prop_assert_eq!(spec.output_extent(hw, k).unwrap(), ow);
+        let input = rand_tensor(&mut rng, &[n, c, hw, hw]);
+        let weight = rand_tensor(&mut rng, &[f, c, k, k]);
+        let bias = rand_tensor(&mut rng, &[f]);
+        let packed = PackedConvWeights::pack(&weight).unwrap();
+
+        let fwd_s = scalar.conv2d(&input, &weight, Some(&bias), spec, &mut Scratch::new()).unwrap();
+        let fwd_v = simd.conv2d(&input, &weight, Some(&bias), spec, &mut Scratch::new()).unwrap();
+        assert_bits_equal(&fwd_s, &fwd_v, "conv2d")?;
+        assert_bits_equal(
+            &fwd_s,
+            &simd.conv2d_prepacked(&input, &packed, Some(&bias), spec, &mut Scratch::new()).unwrap(),
+            "conv2d_prepacked",
+        )?;
+        let (exact, scale) = naive_conv2d(&input, &weight, &bias, spec);
+        assert_near_naive(&fwd_v, &exact, &scale, "conv2d vs naive")?;
+
+        let grad = rand_tensor(&mut rng, fwd_s.dims());
+        let back_s = scalar.conv2d_backward(&input, &weight, &grad, spec, &mut Scratch::new()).unwrap();
+        let back_v = simd.conv2d_backward(&input, &weight, &grad, spec, &mut Scratch::new()).unwrap();
+        assert_bits_equal(&back_s.d_input, &back_v.d_input, "conv2d_backward.d_input")?;
+        assert_bits_equal(&back_s.d_weight, &back_v.d_weight, "conv2d_backward.d_weight")?;
+        assert_bits_equal(&back_s.d_bias, &back_v.d_bias, "conv2d_backward.d_bias")?;
+        let dims = input.dims();
+        for (backend, name) in [(&scalar, "scalar"), (&simd, "simd")] {
+            assert_bits_equal(
+                &back_s.d_input,
+                &backend.conv2d_input_grad(&weight, &grad, dims, spec, &mut Scratch::new()).unwrap(),
+                &format!("conv2d_input_grad ({name})"),
+            )?;
+            assert_bits_equal(
+                &back_s.d_input,
+                &backend
+                    .conv2d_input_grad_prepacked(&packed, &grad, dims, spec, &mut Scratch::new())
+                    .unwrap(),
+                &format!("conv2d_input_grad_prepacked ({name})"),
+            )?;
+        }
+        let (d_in, d_in_scale, d_w, d_w_scale) = naive_conv2d_grads(&input, &weight, &grad, spec);
+        assert_near_naive(&back_v.d_input, &d_in, &d_in_scale, "d_input vs naive")?;
+        assert_near_naive(&back_v.d_weight, &d_w, &d_w_scale, "d_weight vs naive")?;
     }
 
     /// Depthwise forward/backward/input-grad are bit-identical across
@@ -279,6 +466,32 @@ fn input_grad_rejects_overflowing_dims() {
         matches!(err, blurnet_tensor::TensorError::SizeOverflow { .. }),
         "expected SizeOverflow, got {err:?}"
     );
+}
+
+/// A depthwise weight of the wrong rank (or channel count) through
+/// `Backend::depthwise_conv2d_backward` is a typed shape error, as it is
+/// for the forward and the input gradient — not an index panic.
+#[test]
+fn depthwise_backward_rejects_bad_weight_rank() {
+    let backend = CpuBackend::new();
+    let input = Tensor::zeros(&[1, 2, 6, 6]);
+    let grad = Tensor::zeros(&[1, 2, 6, 6]);
+    let spec = ConvSpec::same(3).unwrap();
+    for bad in [
+        Tensor::zeros(&[2]),
+        Tensor::zeros(&[2, 3]),
+        Tensor::zeros(&[3, 3, 3]),
+        Tensor::zeros(&[2, 3, 3, 1]),
+    ] {
+        let err = backend
+            .depthwise_conv2d_backward(&input, &bad, &grad, spec)
+            .unwrap_err();
+        assert!(
+            matches!(err, blurnet_tensor::TensorError::ShapeMismatch { .. }),
+            "weight {:?}: expected ShapeMismatch, got {err:?}",
+            bad.dims()
+        );
+    }
 }
 
 /// Metadata entry points agree with the construction-time dispatch.
