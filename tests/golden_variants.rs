@@ -5,6 +5,11 @@
 //! accuracies themselves are pinned to a checked-in golden file, so a
 //! format change that silently perturbs restored weights cannot hide.
 //!
+//! Each pin also carries a 64-bit FNV-1a hash of the variant's trained
+//! network bytes (`sequential_to_bytes`), so a change to training that
+//! moves a single weight by one rounding fails here even when the test
+//! accuracy does not move.
+//!
 //! Regenerate after an *intentional* numeric or format change with:
 //!
 //! ```bash
@@ -16,15 +21,19 @@ use std::path::PathBuf;
 use blurnet::experiments::grid::ExperimentGrid;
 use blurnet::{ModelZoo, Scale};
 use blurnet_defenses::{model_from_bytes, model_to_bytes};
+use blurnet_nn::persist::sequential_to_bytes;
+use blurnet_tensor::persist::fnv1a;
 use serde::{Deserialize, Serialize};
 
 const SEED: u64 = 7;
 
-/// One pinned variant: its label and exact test accuracy.
+/// One pinned variant: its label, exact test accuracy and the FNV-1a hash
+/// of its trained network bytes (hex, so the JSON stays exact).
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct VariantPin {
     label: String,
     accuracy: f32,
+    network_fnv1a: String,
 }
 
 fn golden_path() -> PathBuf {
@@ -81,6 +90,7 @@ fn every_full_grid_variant_roundtrips_bit_identically() {
         pins.push(VariantPin {
             label: defense.label(),
             accuracy: a,
+            network_fnv1a: format!("{:016x}", fnv1a(&sequential_to_bytes(original.network()))),
         });
     }
 
