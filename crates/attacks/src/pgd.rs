@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn pgd_increases_true_label_loss() {
-        let (mut net, data) = tiny_setup();
+        let (net, data) = tiny_setup();
         let attack = PgdAttack::new(PgdConfig {
             epsilon: 0.1,
             step_size: 0.02,
@@ -277,11 +277,11 @@ mod tests {
         let image = &data.stop_eval_images()[0];
         let label = 14usize;
         let clean_logits = net
-            .forward(&Tensor::stack(std::slice::from_ref(image)).unwrap(), false)
+            .forward_batch(&Tensor::stack(std::slice::from_ref(image)).unwrap())
             .unwrap();
         let (clean_loss, _) = softmax_cross_entropy(&clean_logits, &[label]).unwrap();
         let adv = attack.generate(&net, image, label).unwrap();
-        let adv_logits = net.forward(&Tensor::stack(&[adv]).unwrap(), false).unwrap();
+        let adv_logits = net.forward_batch(&Tensor::stack(&[adv]).unwrap()).unwrap();
         let (adv_loss, _) = softmax_cross_entropy(&adv_logits, &[label]).unwrap();
         assert!(
             adv_loss >= clean_loss,

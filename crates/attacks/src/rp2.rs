@@ -260,6 +260,7 @@ impl Rp2Attack {
                     Ok(ShardGrad {
                         d_logits,
                         injection,
+                        weight_grad: None,
                         loss: ce_loss + penalty_value,
                     })
                 })?;

@@ -5,8 +5,8 @@
 //! scoped-spawn dispatch delta in the vendored rayon stand-in.
 //!
 //! Besides the criterion output, the run writes `BENCH_attack.json` at the
-//! repository root (schema `blurnet-attack-bench/v1`): median ns/iter for
-//! the per-image mutable gradient loop and the batched engine at thread
+//! repository root (schema `blurnet-attack-bench/v2`): median ns/iter for
+//! the per-image training-pass loop and the batched engine at thread
 //! counts {1, 2, 4}, PGD steps/sec for both, the single-thread speedup
 //! ratio, the pool-vs-spawn dispatch timings, and the host's CPU budget.
 //! The run also *asserts* that batched generation is bit-identical across
@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use blurnet_attacks::{PgdAttack, PgdConfig};
-use blurnet_nn::{softmax_cross_entropy, LisaCnn, Sequential};
+use blurnet_nn::{softmax_cross_entropy, LisaCnn, Sequential, ShardGrad};
 use blurnet_tensor::Tensor;
 use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
@@ -45,16 +45,27 @@ fn with_threads<O>(threads: usize, mut f: impl FnMut() -> O) -> f64 {
     pool.install(|| median_ns(&mut f))
 }
 
-/// The historical per-image PGD gradient loop (pre-batched-engine): one
-/// stateful forward + full mutable backward per image per step. Kept here
-/// verbatim as the benchmark baseline.
-fn pgd_per_image(net: &mut Sequential, image: &Tensor, label: usize, config: &PgdConfig) -> Tensor {
+/// The per-image PGD gradient loop the batched engine replaced: one
+/// whole-network training pass (forward, then the backward with input and
+/// parameter gradients) per image per step — the cost profile of the
+/// pre-engine loop, kept as the benchmark baseline.
+fn pgd_per_image(net: &Sequential, image: &Tensor, label: usize, config: &PgdConfig) -> Tensor {
+    let engine = net.batch_engine().unwrap();
     let mut x_adv = image.clone();
     for _ in 0..config.steps {
         let batch = Tensor::stack(std::slice::from_ref(&x_adv)).unwrap();
-        let logits = net.forward(&batch, false).unwrap();
-        let (_, d_logits) = softmax_cross_entropy(&logits, &[label]).unwrap();
-        let grad = net.backward(&d_logits).unwrap().batch_item(0).unwrap();
+        let step = engine
+            .forward_backward_params(&batch, None, |_, logits, _| {
+                let (loss, d_logits) = softmax_cross_entropy(logits, &[label])?;
+                Ok(ShardGrad {
+                    d_logits,
+                    injection: None,
+                    weight_grad: None,
+                    loss,
+                })
+            })
+            .unwrap();
+        let grad = step.input_grad.batch_item(0).unwrap();
         x_adv = x_adv
             .zip_map(&grad, |x, g| x + config.step_size * g.signum())
             .unwrap();
@@ -96,7 +107,7 @@ impl Record {
         let mut root = vec![
             (
                 "schema".to_string(),
-                Value::Str("blurnet-attack-bench/v1".to_string()),
+                Value::Str("blurnet-attack-bench/v2".to_string()),
             ),
             (
                 "rayon_threads".to_string(),
@@ -146,7 +157,7 @@ fn write_attack_json() {
     let mut record = Record::new();
 
     // The acceptance-criteria workload: 10-step PGD, batch of 8 [3,32,32].
-    let mut net = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
+    let net = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..8).map(|i| (i * 2) % 18).collect();
     let config = PgdConfig::default();
@@ -155,7 +166,7 @@ fn write_attack_json() {
 
     // Correctness gates before any timing: batched generation must be
     // bit-identical across thread counts and ≤ 1e-5 from the per-image
-    // mutable gradient loop.
+    // training-pass loop.
     let reference = {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
@@ -180,7 +191,7 @@ fn write_attack_json() {
             .expect("row")
             .batch_item(0)
             .expect("item");
-        let per_image = pgd_per_image(&mut net, &image, label, &config);
+        let per_image = pgd_per_image(&net, &image, label, &config);
         let batched = reference.batch_item(i).expect("item");
         let max_diff = per_image
             .data()
@@ -198,12 +209,12 @@ fn write_attack_json() {
         Value::Bool(true),
     ));
 
-    // Per-image mutable gradient loop (the pre-engine baseline),
+    // Per-image training-pass loop (the pre-engine baseline),
     // single-thread.
     let per_image_ns = with_threads(1, || {
         for (i, &label) in labels.iter().enumerate() {
             let image = batch.batch_slice(i, 1).unwrap().batch_item(0).unwrap();
-            pgd_per_image(&mut net, &image, label, &config);
+            pgd_per_image(&net, &image, label, &config);
         }
     });
     record.push_ns("pgd10_batch8_per_image_loop_st", per_image_ns);
@@ -256,7 +267,7 @@ fn bench_attack_gen(c: &mut Criterion) {
     let mut group = c.benchmark_group("attack_gen");
     group.sample_size(10);
 
-    let mut net = LisaCnn::new(18).build(&mut rng).unwrap();
+    let net = LisaCnn::new(18).build(&mut rng).unwrap();
     let batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..8).map(|i| (i * 2) % 18).collect();
     let config = PgdConfig::default();
@@ -269,7 +280,7 @@ fn bench_attack_gen(c: &mut Criterion) {
         b.iter(|| {
             for (i, &label) in labels.iter().enumerate() {
                 let image = batch.batch_slice(i, 1).unwrap().batch_item(0).unwrap();
-                pgd_per_image(&mut net, &image, label, &config);
+                pgd_per_image(&net, &image, label, &config);
             }
         });
     });

@@ -1,10 +1,10 @@
 //! Benchmarks for the batch-parallel inference engine
 //! ([`blurnet_nn::BatchEngine`]): thread-count scaling on the
-//! acceptance-criteria `[8, 16, 32, 32]` batch forward, the engine vs the
-//! per-sample forward loop, and a LisaCnn end-to-end probe.
+//! acceptance-criteria `[8, 16, 32, 32]` batch forward, the engine vs a
+//! per-sample layer-by-layer loop, and a LisaCnn end-to-end probe.
 //!
 //! Besides the criterion output, the run writes `BENCH_batch.json` at the
-//! repository root (schema `blurnet-batch-bench/v1`): median ns/iter per
+//! repository root (schema `blurnet-batch-bench/v2`): median ns/iter per
 //! thread count, images/s throughput, the scaling ratios, and the host's
 //! CPU budget — scaling ratios are only meaningful when `host_cpus`
 //! provides real parallelism (CI containers pinned to one core report ~1×
@@ -42,6 +42,14 @@ fn with_threads<O>(threads: usize, mut f: impl FnMut() -> O) -> f64 {
         .build()
         .expect("thread pool");
     pool.install(|| median_ns(&mut f))
+}
+
+/// Walks the layers over each image of `batch` alone.
+fn per_sample_loop(net: &Sequential, batch: &Tensor) {
+    for i in 0..batch.dims()[0] {
+        let image = batch.batch_slice(i, 1).unwrap();
+        net.activation(&image, net.len() - 1).unwrap();
+    }
 }
 
 /// A convolution stack whose input is the acceptance-criteria
@@ -88,7 +96,7 @@ impl Record {
         let mut root = vec![
             (
                 "schema".to_string(),
-                Value::Str("blurnet-batch-bench/v1".to_string()),
+                Value::Str("blurnet-batch-bench/v2".to_string()),
             ),
             (
                 "rayon_threads".to_string(),
@@ -108,7 +116,7 @@ fn write_batch_json() {
     let mut record = Record::new();
 
     // The acceptance-criteria workload: [8, 16, 32, 32] batch forward.
-    let mut net = feature_stage_net(&mut rng);
+    let net = feature_stage_net(&mut rng);
     let batch = Tensor::rand_uniform(&[8, 16, 32, 32], 0.0, 1.0, &mut rng);
     let engine = net.batch_engine().expect("non-empty network");
 
@@ -153,27 +161,20 @@ fn write_batch_json() {
         record.push_ratio(&format!("scaling_{threads}t_vs_1t"), ns1 / ns);
     }
 
-    // Engine vs the per-sample stateful forward loop (both single-thread,
-    // so the ratio isolates packing reuse + cache-free inference).
-    let per_sample_ns = with_threads(1, || {
-        for i in 0..batch.dims()[0] {
-            let image = batch.batch_slice(i, 1).unwrap();
-            net.forward(&image, false).unwrap();
-        }
-    });
+    // Engine vs a per-sample loop of layer-by-layer `Layer::infer` walks
+    // (both single-thread, so the ratio isolates packing reuse).
+    let per_sample_ns = with_threads(1, || per_sample_loop(&net, &batch));
     record.push_ns("per_sample_loop_8x16x32x32_st", per_sample_ns);
     record.push_ratio("engine_vs_per_sample_st", per_sample_ns / ns1);
 
-    // LisaCnn end-to-end probes (batch 8), engine vs stateful batch forward.
-    let mut lisa = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
+    // LisaCnn end-to-end probes (batch 8).
+    let lisa = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let lisa_engine = lisa.batch_engine().expect("non-empty network");
     for &threads in &THREAD_COUNTS {
         let ns = with_threads(threads, || lisa_engine.forward(&lisa_batch).unwrap());
         record.push_ns(&format!("lisacnn_forward_batch8_engine_t{threads}"), ns);
     }
-    let stateful_ns = with_threads(1, || lisa.forward(&lisa_batch, false).unwrap());
-    record.push_ns("lisacnn_forward_batch8_stateful_st", stateful_ns);
 
     // crates/bench/ -> workspace root.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
@@ -188,29 +189,21 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_engine");
     group.sample_size(20);
 
-    let mut net = feature_stage_net(&mut rng);
+    let net = feature_stage_net(&mut rng);
     let batch = Tensor::rand_uniform(&[8, 16, 32, 32], 0.0, 1.0, &mut rng);
     let engine = net.batch_engine().unwrap();
     group.bench_function("forward_batch_8x16x32x32", |bench| {
         bench.iter(|| engine.forward(&batch).unwrap());
     });
     group.bench_function("per_sample_loop_8x16x32x32", |bench| {
-        bench.iter(|| {
-            for i in 0..batch.dims()[0] {
-                let image = batch.batch_slice(i, 1).unwrap();
-                net.forward(&image, false).unwrap();
-            }
-        });
+        bench.iter(|| per_sample_loop(&net, &batch));
     });
 
-    let mut lisa = LisaCnn::new(18).build(&mut rng).unwrap();
+    let lisa = LisaCnn::new(18).build(&mut rng).unwrap();
     let lisa_batch = Tensor::rand_uniform(&[8, 3, 32, 32], 0.0, 1.0, &mut rng);
     let lisa_engine = lisa.batch_engine().unwrap();
     group.bench_function("lisacnn_forward_batch8_engine", |bench| {
         bench.iter(|| lisa_engine.forward(&lisa_batch).unwrap());
-    });
-    group.bench_function("lisacnn_forward_batch8_stateful", |bench| {
-        bench.iter(|| lisa.forward(&lisa_batch, false).unwrap());
     });
     group.finish();
 }

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 
 fn bench_fig2(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let mut net = LisaCnn::new(18).build(&mut rng).unwrap();
+    let net = LisaCnn::new(18).build(&mut rng).unwrap();
     let data = SignDataset::generate(&DatasetConfig::tiny(), 7).unwrap();
     let image = data.stop_eval_images()[0].clone();
     let batch = Tensor::stack(&[image]).unwrap();
@@ -19,10 +19,9 @@ fn bench_fig2(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2");
     group.sample_size(10);
     group.bench_function("collect_feature_maps", |b| {
-        b.iter(|| net.forward_collect(&batch, false).unwrap());
+        b.iter(|| net.activation(&batch, 0).unwrap());
     });
-    let (_, acts) = net.forward_collect(&batch, false).unwrap();
-    let features = acts[0].batch_item(0).unwrap();
+    let features = net.activation(&batch, 0).unwrap().batch_item(0).unwrap();
     let kernel = box_kernel(5);
     group.bench_function("feature_map_spectra_all_channels", |b| {
         b.iter(|| {

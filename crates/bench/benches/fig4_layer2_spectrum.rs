@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 fn bench_fig4(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let builder = LisaCnn::new(18);
-    let mut net = builder.build(&mut rng).unwrap();
+    let net = builder.build(&mut rng).unwrap();
     let data = SignDataset::generate(&DatasetConfig::tiny(), 9).unwrap();
     let batch = Tensor::stack(&[data.stop_eval_images()[0].clone()]).unwrap();
     let second_index = builder.config().second_conv_layer_index();
@@ -21,8 +21,11 @@ fn bench_fig4(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("second_layer_band_energy", |b| {
         b.iter(|| {
-            let (_, acts) = net.forward_collect(&batch, false).unwrap();
-            let maps = acts[second_index].batch_item(0).unwrap();
+            let maps = net
+                .activation(&batch, second_index)
+                .unwrap()
+                .batch_item(0)
+                .unwrap();
             let mut acc = 0.0;
             for ch in 0..maps.dims()[0] {
                 let map = maps.channel(ch).unwrap();

@@ -5,7 +5,7 @@
 //!
 //! Besides the human-readable criterion output, the run writes
 //! `BENCH_substrate.json` at the repository root: a machine-readable record
-//! (schema `blurnet-substrate-bench/v3`) of median ns/iter for every probe
+//! (schema `blurnet-substrate-bench/v4`) of median ns/iter for every probe
 //! and the fast-vs-seed speedups, so future PRs can track the perf
 //! trajectory. The `simd_tier` entry records which kernel tier the backend
 //! dispatched to (`avx2_fma` or `scalar`), so numbers from different hosts
@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use blurnet_bench::{host_entries, BENCH_THREAD_COUNTS};
-use blurnet_nn::LisaCnn;
+use blurnet_nn::{BatchEngine, GradBatch, LisaCnn, ShardGrad};
 use blurnet_signal::{
     blur_batch, blur_batch_2d, box_kernel, dct2d, depthwise_weights, fft2d_magnitude,
     total_variation_batch, OperatorPenalty,
@@ -32,6 +32,22 @@ use criterion::{criterion_group, criterion_main, measure_median_ns, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
+
+/// One training pass (forward, then the backward with parameter
+/// gradients) over the whole batch, backpropagating all-ones logit
+/// gradients.
+fn training_pass(engine: &BatchEngine<'_>, batch: &Tensor) -> GradBatch {
+    engine
+        .forward_backward_params(batch, None, |_, logits, _| {
+            Ok(ShardGrad {
+                d_logits: Tensor::ones(logits.dims()),
+                injection: None,
+                weight_grad: None,
+                loss: 0.0,
+            })
+        })
+        .unwrap()
+}
 
 /// Samples per probe for the JSON record.
 const JSON_SAMPLES: usize = 15;
@@ -104,7 +120,7 @@ impl Record {
         );
         let mut root = vec![(
             "schema".to_string(),
-            Value::Str("blurnet-substrate-bench/v3".to_string()),
+            Value::Str("blurnet-substrate-bench/v4".to_string()),
         )];
         root.extend(host_entries("substrate_micro"));
         root.push((
@@ -253,19 +269,16 @@ fn write_bench_json() {
         );
     }
 
-    let mut net = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
+    let net = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
+    let engine = net.batch_engine().expect("engine builds");
     let batch = Tensor::rand_uniform(&[4, 3, 32, 32], 0.0, 1.0, &mut rng);
     record.push(
         "lisacnn_forward_batch4",
-        median_ns(|| net.forward(&batch, false).unwrap()),
+        median_ns(|| engine.forward(&batch).unwrap()),
     );
     record.push(
         "lisacnn_forward_backward_batch4",
-        median_ns(|| {
-            let out = net.forward(&batch, true).unwrap();
-            net.zero_grads();
-            net.backward(&Tensor::ones(out.dims())).unwrap();
-        }),
+        median_ns(|| training_pass(&engine, &batch)),
     );
 
     // Multi-core sweep on representative probes (one per substrate
@@ -291,9 +304,7 @@ fn write_bench_json() {
         record.push_threads(
             "lisacnn_forward_batch4",
             threads,
-            blurnet_bench::with_threads(threads, || {
-                median_ns(|| net.forward(&batch, false).unwrap())
-            }),
+            blurnet_bench::with_threads(threads, || median_ns(|| engine.forward(&batch).unwrap())),
         );
     }
 
@@ -380,30 +391,20 @@ fn bench_substrates(c: &mut Criterion) {
         bench.iter(|| blur_batch_2d(&feature_maps_big, &kernel).unwrap());
     });
 
-    let mut net = LisaCnn::new(18).build(&mut rng).unwrap();
+    let net = LisaCnn::new(18).build(&mut rng).unwrap();
+    let engine = net.batch_engine().unwrap();
     let batch = Tensor::rand_uniform(&[4, 3, 32, 32], 0.0, 1.0, &mut rng);
-    group.bench_function("lisacnn_forward_batch4", |bench| {
-        bench.iter(|| net.forward(&batch, false).unwrap());
+    // The batch-parallel inference engine: packed weights reused across
+    // calls, batch sharded over rayon. The full thread-scaling sweep lives
+    // in the `batch_engine` bench (BENCH_batch.json).
+    group.bench_function("lisacnn_forward_batch4_engine", |bench| {
+        bench.iter(|| engine.forward(&batch).unwrap());
     });
-    // The batch-parallel inference engine over the same workload: packed
-    // weights reused across calls, batch sharded over rayon. The full
-    // thread-scaling sweep lives in the `batch_engine` bench
-    // (BENCH_batch.json).
-    {
-        let engine = net.batch_engine().unwrap();
-        group.bench_function("lisacnn_forward_batch4_engine", |bench| {
-            bench.iter(|| engine.forward(&batch).unwrap());
-        });
-    }
     group.bench_function("lisacnn_forward_batch4_engine_fresh_pack", |bench| {
         bench.iter(|| net.forward_batch(&batch).unwrap());
     });
     group.bench_function("lisacnn_forward_backward_batch4", |bench| {
-        bench.iter(|| {
-            let out = net.forward(&batch, true).unwrap();
-            net.zero_grads();
-            net.backward(&Tensor::ones(out.dims())).unwrap();
-        });
+        bench.iter(|| training_pass(&engine, &batch));
     });
     group.finish();
 }

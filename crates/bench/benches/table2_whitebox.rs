@@ -3,8 +3,8 @@
 
 use blurnet_attacks::{Rp2Attack, Rp2Config};
 use blurnet_data::{DatasetConfig, SignDataset};
-use blurnet_defenses::{DefenseKind, FeatureRegularizer};
-use blurnet_nn::{softmax_cross_entropy, Adam, LisaCnn, Optimizer};
+use blurnet_defenses::{train_step, DefenseKind, FeatureRegularizer};
+use blurnet_nn::{Adam, LisaCnn};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -42,13 +42,14 @@ fn bench_table2(c: &mut Criterion) {
     let batch = data.train_batches(8, &mut rng2).unwrap().remove(0);
     group.bench_function("tv_regularized_training_step", |b| {
         b.iter(|| {
-            net.zero_grads();
-            let (logits, acts) = net.forward_collect(&batch.images, true).unwrap();
-            let (_, d_logits) = softmax_cross_entropy(&logits, &batch.labels).unwrap();
-            let (_, injections) = regularizer.apply(&mut net, &acts).unwrap();
-            net.backward_with_injection(&d_logits, &injections).unwrap();
-            let mut pairs = net.param_grad_pairs();
-            adam.step(&mut pairs).unwrap();
+            train_step(
+                &mut net,
+                &regularizer,
+                &mut adam,
+                &batch.images,
+                &batch.labels,
+            )
+            .unwrap()
         });
     });
     group.finish();

@@ -277,18 +277,18 @@ fn safe_ratio(map: &Tensor) -> Result<f32> {
     }
 }
 
-/// Extracts the `[C, H, W]` activation of one layer for one image.
+/// Extracts the `[C, H, W]` activation of one layer for one image, walking
+/// the layers' `Layer::infer` up to it.
 fn layer_activation(
-    model: &mut blurnet_defenses::DefendedModel,
+    model: &blurnet_defenses::DefendedModel,
     image: &Tensor,
     layer_index: usize,
 ) -> Result<Tensor> {
     let batch = Tensor::stack(std::slice::from_ref(image))?;
-    let (_, activations) = model.network_mut().forward_collect(&batch, false)?;
-    let activation = activations.get(layer_index).ok_or_else(|| {
-        BlurNetError::BadConfig(format!("layer index {layer_index} out of range"))
-    })?;
-    Ok(activation.batch_item(0)?)
+    Ok(model
+        .network()
+        .activation(&batch, layer_index)?
+        .batch_item(0)?)
 }
 
 /// Figure 3 — adaptive attack success rate vs DCT mask dimension (7×7

@@ -40,9 +40,9 @@ pub use error::DefenseError;
 pub use filtering::{filter_image, filter_images};
 pub use model::{DefendedModel, TrainingReport, SMOOTHING_SEED};
 pub use persist::{model_from_bytes, model_to_bytes};
-pub use regularizers::FeatureRegularizer;
+pub use regularizers::{FeatureRegularizer, RegularizerTerm};
 pub use smoothing::smoothed_predict;
-pub use trainer::{build_architecture, train_defended_model, TrainConfig};
+pub use trainer::{build_architecture, train_defended_model, train_step, TrainConfig};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, DefenseError>;

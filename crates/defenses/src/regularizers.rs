@@ -90,81 +90,91 @@ impl FeatureRegularizer {
         }
     }
 
-    /// Whether the training loop must collect intermediate activations for
-    /// this regularizer.
-    pub fn needs_activations(&self) -> bool {
-        matches!(
-            self,
-            FeatureRegularizer::TotalVariation { .. } | FeatureRegularizer::Operator { .. }
-        )
+    /// The layer whose output activation the regularizer penalizes — the
+    /// feature layer a training pass must collect — or `None` for
+    /// regularizers that need no activation.
+    pub fn feature_layer(&self) -> Option<usize> {
+        match self {
+            FeatureRegularizer::TotalVariation { layer_index, .. }
+            | FeatureRegularizer::Operator { layer_index, .. } => Some(*layer_index),
+            FeatureRegularizer::None | FeatureRegularizer::LinfDepthwise { .. } => None,
+        }
     }
 
-    /// Evaluates the regularizer for the current step.
+    /// Evaluates the regularizer for the current step of `net`, given the
+    /// activation collected at [`FeatureRegularizer::feature_layer`].
     ///
-    /// Returns the penalty value (already scaled by α) and the list of
-    /// activation-gradient injections to pass to
-    /// [`Sequential::backward_with_injection`]. The L∞ variant instead
-    /// accumulates its sub-gradient directly into the depthwise layer's
-    /// weight gradients.
+    /// Feature penalties return their gradient as an injection at that
+    /// activation; the L∞ penalty returns its sub-gradient for the
+    /// depthwise layer's kernels as a weight gradient.
     ///
     /// # Errors
     ///
-    /// Returns an error if layer indices or activation shapes do not match
-    /// the network.
-    pub fn apply(
-        &self,
-        net: &mut Sequential,
-        activations: &[Tensor],
-    ) -> Result<(f32, Vec<(usize, Tensor)>)> {
+    /// Returns an error if the L∞ layer index does not name a depthwise
+    /// layer, if a feature penalty gets no activation, or if the
+    /// activation's shape does not fit the penalty.
+    pub fn apply(&self, net: &Sequential, feature: Option<&Tensor>) -> Result<RegularizerTerm> {
         match self {
-            FeatureRegularizer::None => Ok((0.0, Vec::new())),
+            FeatureRegularizer::None => Ok(RegularizerTerm::default()),
             FeatureRegularizer::LinfDepthwise { alpha, layer_index } => {
-                let layer = net.layer_mut(*layer_index).ok_or_else(|| {
-                    DefenseError::BadConfig(format!("no layer at index {layer_index}"))
-                })?;
-                let LayerKind::Depthwise(depthwise) = layer else {
+                let Some(LayerKind::Depthwise(depthwise)) = net.layer(*layer_index) else {
                     return Err(DefenseError::BadConfig(format!(
                         "layer {layer_index} is not a depthwise layer"
                     )));
                 };
-                let value = alpha * depthwise.linf_penalty();
-                let grad = depthwise.linf_penalty_grad();
-                depthwise.accumulate_weight_grad(&grad, *alpha)?;
-                Ok((value, Vec::new()))
+                Ok(RegularizerTerm {
+                    value: alpha * depthwise.linf_penalty(),
+                    injection: None,
+                    weight_grad: Some((*layer_index, depthwise.linf_penalty_grad().scale(*alpha))),
+                })
             }
             FeatureRegularizer::TotalVariation { alpha, layer_index } => {
-                let feature = activation(activations, *layer_index)?;
-                let value = alpha * total_variation_batch(feature)?;
-                let grad = tv_gradient_batch(feature)?.scale(*alpha);
-                Ok((value, vec![(*layer_index, grad)]))
+                let feature = collected(feature, *layer_index)?;
+                Ok(RegularizerTerm {
+                    value: alpha * total_variation_batch(feature)?,
+                    injection: Some(tv_gradient_batch(feature)?.scale(*alpha)),
+                    weight_grad: None,
+                })
             }
             FeatureRegularizer::Operator {
                 alpha,
                 layer_index,
                 penalty,
             } => {
-                let feature = activation(activations, *layer_index)?;
-                let value = alpha * penalty.value_batch(feature)?;
-                let grad = penalty.grad_batch(feature)?.scale(*alpha);
-                Ok((value, vec![(*layer_index, grad)]))
+                let feature = collected(feature, *layer_index)?;
+                Ok(RegularizerTerm {
+                    value: alpha * penalty.value_batch(feature)?,
+                    injection: Some(penalty.grad_batch(feature)?.scale(*alpha)),
+                    weight_grad: None,
+                })
             }
         }
     }
 }
 
-fn activation(activations: &[Tensor], index: usize) -> Result<&Tensor> {
-    activations.get(index).ok_or_else(|| {
-        DefenseError::BadConfig(format!(
-            "activation index {index} out of range ({} collected)",
-            activations.len()
-        ))
+/// One step's evaluated regularizer: its value and where its gradient
+/// enters the backward pass (the fields of a [`blurnet_nn::ShardGrad`]).
+#[derive(Debug, Default)]
+pub struct RegularizerTerm {
+    /// The penalty value, already scaled by α.
+    pub value: f32,
+    /// Gradient at the feature layer's output (TV and Tikhonov).
+    pub injection: Option<Tensor>,
+    /// Gradient with respect to one layer's weight, keyed by layer index
+    /// (L∞ on the depthwise kernels).
+    pub weight_grad: Option<(usize, Tensor)>,
+}
+
+fn collected(feature: Option<&Tensor>, index: usize) -> Result<&Tensor> {
+    feature.ok_or_else(|| {
+        DefenseError::BadConfig(format!("no feature activation collected at layer {index}"))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_nn::{Layer, LisaCnn};
+    use blurnet_nn::{LisaCnn, ShardGrad};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -226,19 +236,19 @@ mod tests {
     fn tv_regularizer_produces_injection_with_feature_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let builder = tiny_builder(&DefenseKind::Baseline);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(
             &DefenseKind::TotalVariation { alpha: 1e-2 },
             builder.config(),
         )
         .unwrap();
-        assert!(reg.needs_activations());
+        let layer = reg.feature_layer().expect("TV reads an activation");
         let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let (_, acts) = net.forward_collect(&x, true).unwrap();
-        let (value, injections) = reg.apply(&mut net, &acts).unwrap();
-        assert!(value > 0.0);
-        assert_eq!(injections.len(), 1);
-        assert_eq!(injections[0].1.dims(), acts[0].dims());
+        let feature = net.activation(&x, layer).unwrap();
+        let term = reg.apply(&net, Some(&feature)).unwrap();
+        assert!(term.value > 0.0);
+        assert_eq!(term.injection.unwrap().dims(), feature.dims());
+        assert!(term.weight_grad.is_none());
     }
 
     #[test]
@@ -249,42 +259,60 @@ mod tests {
             alpha: 0.5,
         };
         let builder = tiny_builder(&defense);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(&defense, builder.config()).unwrap();
-        assert!(!reg.needs_activations());
-        net.zero_grads();
-        let (value, injections) = reg.apply(&mut net, &[]).unwrap();
-        assert!(value > 0.0);
-        assert!(injections.is_empty());
-        // The depthwise layer (layer index 1) must now hold non-zero grads.
+        assert_eq!(reg.feature_layer(), None);
+        let term = reg.apply(&net, None).unwrap();
+        assert!(term.value > 0.0);
+        assert!(term.injection.is_none());
+        // Through a training pass with a zero loss gradient, the
+        // depthwise layer's weight gradient is exactly the L∞ term.
         let layer_index = builder.config().filter_layer_index().unwrap();
-        let LayerKind::Depthwise(dw) = net.layer_mut(layer_index).unwrap() else {
+        let (layer, linf) = term.weight_grad.expect("L∞ is a weight gradient");
+        assert_eq!(layer, layer_index);
+        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
+        let step = net
+            .batch_engine()
+            .unwrap()
+            .forward_backward_params(&x, None, |_, logits, _| {
+                Ok(ShardGrad {
+                    d_logits: Tensor::zeros(logits.dims()),
+                    injection: None,
+                    weight_grad: Some((layer, linf.clone())),
+                    loss: 0.0,
+                })
+            })
+            .unwrap();
+        let LayerKind::Depthwise(dw) = net.layer(layer_index).unwrap() else {
             panic!("expected depthwise layer");
         };
-        assert!(dw.param_grad_pairs()[0].1.l1_norm() > 0.0);
+        // conv1 weight and bias come first in params order.
+        assert_eq!(step.param_grads[2].dims(), dw.weight().dims());
+        assert_eq!(step.param_grads[2], linf);
+        assert!(step.param_grads[2].l1_norm() > 0.0);
     }
 
     #[test]
     fn operator_regularizer_injection_matches_feature_extent() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let builder = tiny_builder(&DefenseKind::Baseline);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let reg = FeatureRegularizer::from_defense(
             &DefenseKind::TikhonovPseudo { alpha: 1e-3 },
             builder.config(),
         )
         .unwrap();
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let (_, acts) = net.forward_collect(&x, true).unwrap();
-        let (value, injections) = reg.apply(&mut net, &acts).unwrap();
-        assert!(value >= 0.0);
-        assert_eq!(injections[0].1.dims(), &[1, 4, 8, 8]);
+        let feature = net.activation(&x, reg.feature_layer().unwrap()).unwrap();
+        let term = reg.apply(&net, Some(&feature)).unwrap();
+        assert!(term.value >= 0.0);
+        assert_eq!(term.injection.unwrap().dims(), &[1, 4, 8, 8]);
     }
 
     #[test]
     fn bad_indices_are_reported() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut net = LisaCnn::new(4)
+        let net = LisaCnn::new(4)
             .input_size(16)
             .conv1_filters(4)
             .build(&mut rng)
@@ -293,12 +321,26 @@ mod tests {
             alpha: 1.0,
             layer_index: 42,
         };
-        assert!(reg.apply(&mut net, &[]).is_err());
+        assert!(reg.apply(&net, None).is_err());
+        // The training pass rejects the out-of-range feature layer itself.
+        let x = Tensor::zeros(&[1, 3, 16, 16]);
+        assert!(net
+            .batch_engine()
+            .unwrap()
+            .forward_backward_params(&x, reg.feature_layer(), |_, logits, _| {
+                Ok(ShardGrad {
+                    d_logits: Tensor::zeros(logits.dims()),
+                    injection: None,
+                    weight_grad: None,
+                    loss: 0.0,
+                })
+            })
+            .is_err());
         let reg = FeatureRegularizer::LinfDepthwise {
             alpha: 1.0,
             layer_index: 0,
         };
         // Layer 0 is a Conv2d, not a depthwise layer.
-        assert!(reg.apply(&mut net, &[]).is_err());
+        assert!(reg.apply(&net, None).is_err());
     }
 }

@@ -16,7 +16,7 @@ use crate::{DefenseError, Result};
 /// Returns [`DefenseError::BadConfig`] for non-positive `sigma` or zero
 /// `samples`, and propagates network errors.
 pub fn smoothed_predict<R: Rng + ?Sized>(
-    net: &mut Sequential,
+    net: &Sequential,
     image: &Tensor,
     sigma: f32,
     samples: usize,
@@ -41,7 +41,7 @@ pub fn smoothed_predict<R: Rng + ?Sized>(
             *noisy = (*noisy + clean).clamp(0.0, 1.0);
         }
     }
-    let preds = net.predict(&batch)?;
+    let preds = net.predict_batch(&batch)?;
     let mut votes = std::collections::HashMap::new();
     for p in preds {
         *votes.entry(p).or_insert(0usize) += 1;
@@ -63,16 +63,16 @@ mod tests {
     #[test]
     fn smoothing_returns_a_valid_class_and_is_stable_for_tiny_noise() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut net = LisaCnn::new(18)
+        let net = LisaCnn::new(18)
             .input_size(16)
             .conv1_filters(4)
             .build(&mut rng)
             .unwrap();
         let image = Tensor::full(&[3, 16, 16], 0.4);
         let plain = net
-            .predict(&Tensor::stack(std::slice::from_ref(&image)).unwrap())
+            .predict_batch(&Tensor::stack(std::slice::from_ref(&image)).unwrap())
             .unwrap()[0];
-        let smoothed = smoothed_predict(&mut net, &image, 1e-4, 11, &mut rng).unwrap();
+        let smoothed = smoothed_predict(&net, &image, 1e-4, 11, &mut rng).unwrap();
         assert!(smoothed < 18);
         // With near-zero noise the vote must match the plain prediction.
         assert_eq!(smoothed, plain);
@@ -81,13 +81,13 @@ mod tests {
     #[test]
     fn parameter_validation() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut net = LisaCnn::new(18)
+        let net = LisaCnn::new(18)
             .input_size(16)
             .conv1_filters(4)
             .build(&mut rng)
             .unwrap();
         let image = Tensor::zeros(&[3, 16, 16]);
-        assert!(smoothed_predict(&mut net, &image, 0.0, 4, &mut rng).is_err());
-        assert!(smoothed_predict(&mut net, &image, 0.1, 0, &mut rng).is_err());
+        assert!(smoothed_predict(&net, &image, 0.0, 4, &mut rng).is_err());
+        assert!(smoothed_predict(&net, &image, 0.1, 0, &mut rng).is_err());
     }
 }

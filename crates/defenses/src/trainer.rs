@@ -10,7 +10,9 @@
 
 use blurnet_attacks::{PgdAttack, PgdConfig};
 use blurnet_data::SignDataset;
-use blurnet_nn::{softmax_cross_entropy, Adam, LisaCnn, LisaCnnConfig, Optimizer, Sequential};
+use blurnet_nn::{
+    softmax_cross_entropy, Adam, LisaCnn, LisaCnnConfig, NnError, Optimizer, Sequential, ShardGrad,
+};
 use blurnet_signal::box_kernel;
 use blurnet_tensor::Tensor;
 use rand::SeedableRng;
@@ -153,24 +155,13 @@ pub fn train_defended_model(
                 &mut rng,
             )?;
 
-            net.zero_grads();
-            let (loss_value, d_logits, injections) = if regularizer.needs_activations() {
-                let (logits, activations) = net.forward_collect(&images, true)?;
-                let (ce, d_logits) = softmax_cross_entropy(&logits, &batch.labels)?;
-                let (reg_value, injections) = regularizer.apply(&mut net, &activations)?;
-                (ce + reg_value, d_logits, injections)
-            } else {
-                let logits = net.forward(&images, true)?;
-                let (ce, d_logits) = softmax_cross_entropy(&logits, &batch.labels)?;
-                // The L∞ regularizer works on weights, not activations.
-                let (reg_value, injections) = regularizer.apply(&mut net, &[])?;
-                (ce + reg_value, d_logits, injections)
-            };
-            net.backward_with_injection(&d_logits, &injections)?;
-            let mut pairs = net.param_grad_pairs();
-            optimizer.step(&mut pairs)?;
-
-            epoch_loss += loss_value;
+            epoch_loss += train_step(
+                &mut net,
+                &regularizer,
+                &mut optimizer,
+                &images,
+                &batch.labels,
+            )?;
             batch_count += 1;
         }
         epoch_losses.push(epoch_loss / batch_count.max(1) as f32);
@@ -193,6 +184,49 @@ pub fn train_defended_model(
         model.arch().clone(),
         report,
     ))
+}
+
+/// One optimizer step on a mini-batch: a single training pass through the
+/// batch engine (softmax cross-entropy plus the regularizer, whose feature
+/// gradient enters at its feature layer and whose weight gradient enters
+/// ahead of the backward's), then `optimizer` applies the parameter
+/// gradients. Returns the step's loss, cross-entropy plus penalty.
+///
+/// # Errors
+///
+/// Returns an error if the batch does not fit the network, the labels do
+/// not match the batch, or the regularizer does not fit the network.
+pub fn train_step<O: Optimizer + ?Sized>(
+    net: &mut Sequential,
+    regularizer: &FeatureRegularizer,
+    optimizer: &mut O,
+    images: &Tensor,
+    labels: &[usize],
+) -> Result<f32> {
+    let frozen: &Sequential = net;
+    let step = frozen.batch_engine()?.forward_backward_params(
+        images,
+        regularizer.feature_layer(),
+        |_, logits, feature| {
+            let (ce, d_logits) = softmax_cross_entropy(logits, labels)?;
+            let term = regularizer
+                .apply(frozen, feature)
+                .map_err(|e| NnError::BadConfig(e.to_string()))?;
+            Ok(ShardGrad {
+                d_logits,
+                injection: term.injection,
+                weight_grad: term.weight_grad,
+                loss: ce + term.value,
+            })
+        },
+    )?;
+    let mut pairs: Vec<_> = net
+        .params_mut()
+        .into_iter()
+        .zip(&step.param_grads)
+        .collect();
+    optimizer.step(&mut pairs)?;
+    Ok(step.shard_losses[0])
 }
 
 /// Applies the defense's training-time input pipeline to one batch.

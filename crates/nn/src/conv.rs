@@ -4,6 +4,7 @@ use blurnet_tensor::{ConvSpec, Initializer, PackedConvWeights, Scratch, Tensor};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::layer::check_accumulators;
 use crate::{Layer, NnError, Result, TapeSlot};
 
 /// A trainable 2-D convolution layer with bias.
@@ -11,15 +12,7 @@ use crate::{Layer, NnError, Result, TapeSlot};
 pub struct Conv2d {
     weight: Tensor,
     bias: Tensor,
-    d_weight: Tensor,
-    d_bias: Tensor,
     spec: ConvSpec,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
-    /// Per-layer workspace pool: im2col/GEMM buffers are reused across
-    /// forward/backward calls instead of being reallocated.
-    #[serde(skip)]
-    scratch: Scratch,
 }
 
 impl Conv2d {
@@ -51,21 +44,15 @@ impl Conv2d {
             rng,
         );
         Ok(Conv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[out_channels]),
             bias: Tensor::zeros(&[out_channels]),
             weight,
             spec,
-            cached_input: None,
-            scratch: Scratch::new(),
         })
     }
 
     /// Reassembles a layer from persisted parameters: `weight` must be
-    /// `[F, C, KH, KW]` and `bias` `[F]`. Gradient accumulators start at
-    /// zero and caches empty — exactly the state of a freshly trained
-    /// layer whose gradients were zeroed, so save→load→infer is
-    /// bit-identical.
+    /// `[F, C, KH, KW]` and `bias` `[F]`. The parameters are the layer's
+    /// whole state, so save→load→infer is bit-identical.
     ///
     /// # Errors
     ///
@@ -84,15 +71,7 @@ impl Conv2d {
                 bias.shape()
             )));
         }
-        Ok(Conv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(bias.dims()),
-            weight,
-            bias,
-            spec,
-            cached_input: None,
-            scratch: Scratch::new(),
-        })
+        Ok(Conv2d { weight, bias, spec })
     }
 
     /// The convolution stride/padding spec.
@@ -126,24 +105,15 @@ impl Conv2d {
     pub fn packed_weights(&self) -> Result<PackedConvWeights> {
         PackedConvWeights::pack(&self.weight).map_err(NnError::from)
     }
+
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.weight, &mut self.bias]
+    }
 }
 
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
         "conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let backend = self.scratch.backend();
-        let out = backend.conv2d(
-            input,
-            &self.weight,
-            Some(&self.bias),
-            self.spec,
-            &mut self.scratch,
-        )?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
@@ -183,38 +153,23 @@ impl Layer for Conv2d {
         )?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        let backend = self.scratch.backend();
-        let grads = backend.conv2d_backward(
-            input,
-            &self.weight,
-            grad_output,
-            self.spec,
-            &mut self.scratch,
-        )?;
-        self.d_weight.add_scaled(&grads.d_weight, 1.0)?;
-        self.d_bias.add_scaled(&grads.d_bias, 1.0)?;
-        Ok(grads.d_input)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![
-            (&mut self.weight, &self.d_weight),
-            (&mut self.bias, &self.d_bias),
-        ]
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grads: &mut [Tensor],
+        scratch: &mut Scratch,
+    ) -> Result<Tensor> {
+        check_accumulators(self, grads)?;
+        let backend = scratch.backend();
+        let d = backend.conv2d_backward(input, &self.weight, grad_output, self.spec, scratch)?;
+        grads[0].add_scaled(&d.d_weight, 1.0)?;
+        grads[1].add_scaled(&d.d_bias, 1.0)?;
+        Ok(d.d_input)
     }
 
     fn params(&self) -> Vec<&Tensor> {
         vec![&self.weight, &self.bias]
-    }
-
-    fn zero_grads(&mut self) {
-        self.d_weight.map_inplace(|_| 0.0);
-        self.d_bias.map_inplace(|_| 0.0);
     }
 }
 
@@ -224,23 +179,47 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// Zeroed accumulators for every parameter of `layer`.
+    fn zero_grads(layer: &Conv2d) -> Vec<Tensor> {
+        layer
+            .params()
+            .iter()
+            .map(|p| Tensor::zeros(p.dims()))
+            .collect()
+    }
+
     #[test]
     fn forward_shape_and_backward_cache() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut conv = Conv2d::new(3, 8, 5, ConvSpec::new(2, 2).unwrap(), &mut rng).unwrap();
+        let conv = Conv2d::new(3, 8, 5, ConvSpec::new(2, 2).unwrap(), &mut rng).unwrap();
         let input = Tensor::zeros(&[2, 3, 32, 32]);
-        let out = conv.forward(&input, true).unwrap();
+        let mut scratch = Scratch::new();
+        let mut tape = TapeSlot::Empty;
+        let out = conv
+            .infer_recording(&input, &mut tape, &mut scratch)
+            .unwrap();
         assert_eq!(out.dims(), &[2, 8, 16, 16]);
-        let d_input = conv.backward(&Tensor::ones(out.dims())).unwrap();
+        let g = Tensor::ones(out.dims());
+        let d_input = conv.input_grad(&tape, &g, &mut scratch).unwrap();
         assert_eq!(d_input.dims(), input.dims());
+        // The parameter backward returns the same input gradient.
+        let mut grads = zero_grads(&conv);
+        let d_full = conv
+            .param_grad(&input, &g, &mut grads, &mut scratch)
+            .unwrap();
+        assert_eq!(d_full, d_input);
     }
 
     #[test]
     fn backward_without_forward_errors() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut conv = Conv2d::new(1, 1, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
+        let conv = Conv2d::new(1, 1, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
         assert!(matches!(
-            conv.backward(&Tensor::zeros(&[1, 1, 4, 4])),
+            conv.input_grad(
+                &TapeSlot::Empty,
+                &Tensor::zeros(&[1, 1, 4, 4]),
+                &mut Scratch::new()
+            ),
             Err(NnError::MissingForwardCache(_))
         ));
     }
@@ -248,18 +227,26 @@ mod tests {
     #[test]
     fn gradients_accumulate_and_reset() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut conv = Conv2d::new(1, 2, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
+        let conv = Conv2d::new(1, 2, 3, ConvSpec::same(3).unwrap(), &mut rng).unwrap();
         let input = Tensor::ones(&[1, 1, 4, 4]);
-        let out = conv.forward(&input, true).unwrap();
-        conv.backward(&Tensor::ones(out.dims())).unwrap();
-        let first: f32 = conv.param_grad_pairs()[0].1.l1_norm();
+        let g = Tensor::ones(&[1, 2, 4, 4]);
+        let mut scratch = Scratch::new();
+        let mut grads = zero_grads(&conv);
+        conv.param_grad(&input, &g, &mut grads, &mut scratch)
+            .unwrap();
+        let first: f32 = grads[0].l1_norm();
         assert!(first > 0.0);
-        conv.forward(&input, true).unwrap();
-        conv.backward(&Tensor::ones(out.dims())).unwrap();
-        let doubled: f32 = conv.param_grad_pairs()[0].1.l1_norm();
+        conv.param_grad(&input, &g, &mut grads, &mut scratch)
+            .unwrap();
+        let doubled: f32 = grads[0].l1_norm();
         assert!((doubled - 2.0 * first).abs() < 1e-3);
-        conv.zero_grads();
-        assert_eq!(conv.param_grad_pairs()[0].1.l1_norm(), 0.0);
+        // A fresh set of accumulators starts from zero again.
+        assert_eq!(zero_grads(&conv)[0].l1_norm(), 0.0);
+        // The accumulator count must match the parameter count.
+        assert!(matches!(
+            conv.param_grad(&input, &g, &mut grads[..1], &mut scratch),
+            Err(NnError::BadConfig(_))
+        ));
     }
 
     #[test]

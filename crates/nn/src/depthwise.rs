@@ -4,9 +4,10 @@
 //! channel. It can be *fixed* (a standard blur kernel, Section III of the
 //! paper) or *trainable* (learned under an L∞ penalty, Eq. 2).
 
-use blurnet_tensor::{default_backend, ConvSpec, Scratch, Tensor};
+use blurnet_tensor::{ConvSpec, Scratch, Tensor};
 use serde::{Deserialize, Serialize};
 
+use crate::layer::check_accumulators;
 use crate::{Layer, NnError, Result, TapeSlot};
 
 /// A depthwise convolution layer with per-channel `[C, K, K]` kernels.
@@ -14,12 +15,8 @@ use crate::{Layer, NnError, Result, TapeSlot};
 pub struct DepthwiseConv2d {
     weight: Tensor,
     bias: Tensor,
-    d_weight: Tensor,
-    d_bias: Tensor,
     spec: ConvSpec,
     trainable: bool,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl DepthwiseConv2d {
@@ -44,13 +41,10 @@ impl DepthwiseConv2d {
             weight.set(&[ch, c, c], 1.0)?;
         }
         Ok(DepthwiseConv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[channels]),
             bias: Tensor::zeros(&[channels]),
             weight,
             spec: ConvSpec::same(kernel).map_err(|e| NnError::BadConfig(e.to_string()))?,
             trainable: true,
-            cached_input: None,
         })
     }
 
@@ -75,19 +69,15 @@ impl DepthwiseConv2d {
         }
         let weight = Tensor::from_vec(data, &[channels, k, k])?;
         Ok(DepthwiseConv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(&[channels]),
             bias: Tensor::zeros(&[channels]),
             weight,
             spec: ConvSpec::same(k).map_err(|e| NnError::BadConfig(e.to_string()))?,
             trainable: false,
-            cached_input: None,
         })
     }
 
     /// Reassembles a layer from persisted parameters: `weight` must be
-    /// `[C, K, K]` with square kernels and `bias` `[C]`. Gradient
-    /// accumulators start at zero and the forward cache empty.
+    /// `[C, K, K]` with square kernels and `bias` `[C]`.
     ///
     /// # Errors
     ///
@@ -112,13 +102,10 @@ impl DepthwiseConv2d {
             )));
         }
         Ok(DepthwiseConv2d {
-            d_weight: Tensor::zeros(weight.dims()),
-            d_bias: Tensor::zeros(bias.dims()),
             weight,
             bias,
             spec,
             trainable,
-            cached_input: None,
         })
     }
 
@@ -189,28 +176,18 @@ impl DepthwiseConv2d {
         Tensor::from_vec(grad, self.weight.dims()).expect("same shape as weights")
     }
 
-    /// Adds an external gradient contribution to the kernel gradient (used
-    /// by the L∞ regularizer during training).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `grad` does not match the kernel shape.
-    pub fn accumulate_weight_grad(&mut self, grad: &Tensor, scale: f32) -> Result<()> {
-        self.d_weight.add_scaled(grad, scale)?;
-        Ok(())
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        if self.trainable {
+            vec![&mut self.weight, &mut self.bias]
+        } else {
+            Vec::new()
+        }
     }
 }
 
 impl Layer for DepthwiseConv2d {
     fn name(&self) -> &'static str {
         "depthwise_conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let out =
-            default_backend().depthwise_conv2d(input, &self.weight, Some(&self.bias), self.spec)?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
@@ -244,33 +221,23 @@ impl Layer for DepthwiseConv2d {
             .depthwise_input_grad(&self.weight, grad_output, dims, self.spec)?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        let grads = default_backend().depthwise_conv2d_backward(
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grads: &mut [Tensor],
+        scratch: &mut Scratch,
+    ) -> Result<Tensor> {
+        check_accumulators(self, grads)?;
+        let d = scratch.backend().depthwise_conv2d_backward(
             input,
             &self.weight,
             grad_output,
             self.spec,
         )?;
-        if self.trainable {
-            self.d_weight.add_scaled(&grads.d_weight, 1.0)?;
-            self.d_bias.add_scaled(&grads.d_bias, 1.0)?;
-        }
-        Ok(grads.d_input)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        if self.trainable {
-            vec![
-                (&mut self.weight, &self.d_weight),
-                (&mut self.bias, &self.d_bias),
-            ]
-        } else {
-            Vec::new()
-        }
+        grads[0].add_scaled(&d.d_weight, 1.0)?;
+        grads[1].add_scaled(&d.d_bias, 1.0)?;
+        Ok(d.d_input)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -280,11 +247,6 @@ impl Layer for DepthwiseConv2d {
             Vec::new()
         }
     }
-
-    fn zero_grads(&mut self) {
-        self.d_weight.map_inplace(|_| 0.0);
-        self.d_bias.map_inplace(|_| 0.0);
-    }
 }
 
 #[cfg(test)]
@@ -293,9 +255,9 @@ mod tests {
 
     #[test]
     fn identity_layer_is_a_no_op() {
-        let mut layer = DepthwiseConv2d::identity(3, 3).unwrap();
+        let layer = DepthwiseConv2d::identity(3, 3).unwrap();
         let input = Tensor::from_vec((0..48).map(|v| v as f32).collect(), &[1, 3, 4, 4]).unwrap();
-        let out = layer.forward(&input, false).unwrap();
+        let out = layer.infer(&input, &mut Scratch::new()).unwrap();
         for (a, b) in out.data().iter().zip(input.data().iter()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -304,30 +266,36 @@ mod tests {
     #[test]
     fn fixed_blur_layer_is_not_trainable() {
         let kernel = Tensor::full(&[5, 5], 1.0 / 25.0);
-        let mut layer = DepthwiseConv2d::fixed_kernel(4, &kernel).unwrap();
+        let layer = DepthwiseConv2d::fixed_kernel(4, &kernel).unwrap();
         assert!(!layer.is_trainable());
         assert_eq!(layer.kernel_size(), 5);
-        assert!(layer.param_grad_pairs().is_empty());
+        assert!(layer.params().is_empty());
         assert_eq!(layer.parameter_count(), 0);
-        // Backward still propagates input gradients.
+        // Backward still propagates input gradients...
         let input = Tensor::ones(&[1, 4, 8, 8]);
-        let out = layer.forward(&input, true).unwrap();
-        let d_input = layer.backward(&Tensor::ones(out.dims())).unwrap();
+        let mut scratch = Scratch::new();
+        let mut tape = TapeSlot::Empty;
+        let out = layer
+            .infer_recording(&input, &mut tape, &mut scratch)
+            .unwrap();
+        let g = Tensor::ones(out.dims());
+        let d_input = layer.input_grad(&tape, &g, &mut scratch).unwrap();
         assert_eq!(d_input.dims(), input.dims());
         assert!(d_input.l1_norm() > 0.0);
+        // ...but has no parameter gradient to give.
+        assert!(layer.param_grad(&input, &g, &mut [], &mut scratch).is_err());
     }
 
     #[test]
     fn linf_penalty_and_subgradient() {
-        let mut layer = DepthwiseConv2d::identity(2, 3).unwrap();
+        let layer = DepthwiseConv2d::identity(2, 3).unwrap();
         // Identity kernels: each channel max |w| is 1 -> penalty = 2.
         assert!((layer.linf_penalty() - 2.0).abs() < 1e-6);
         let g = layer.linf_penalty_grad();
         // Exactly one non-zero entry per channel, equal to sign of the max tap.
         assert_eq!(g.data().iter().filter(|v| **v != 0.0).count(), 2);
         assert_eq!(g.l1_norm(), 2.0);
-        layer.accumulate_weight_grad(&g, 0.5).unwrap();
-        assert!(layer.param_grad_pairs()[0].1.l1_norm() > 0.0);
+        assert_eq!(g.dims(), layer.weight().dims());
     }
 
     #[test]

@@ -1,35 +1,38 @@
-//! The batch-parallel inference **and gradient** engine behind
-//! [`Sequential::forward_batch`] and [`Sequential::input_grad_batch`].
+//! The batch-parallel inference **and gradient** engine — the one forward
+//! and backward path of the crate.
 //!
-//! Training needs the stateful [`crate::Layer::forward`] path (every layer
-//! caches intermediates for backward), which serializes a network behind
-//! `&mut self`. Inference does not: a [`BatchEngine`] takes an immutable
-//! borrow of a [`Sequential`], pre-packs each convolution's weights into the
-//! GEMM-ready transposed layout (and each dense layer's weights into
-//! `[in, out]`) exactly once, and then evaluates **batch shards in
-//! parallel** — the batch dimension is split into fixed-size shards that
-//! rayon workers process independently, each worker owning a private
-//! [`Scratch`] pool that is reused across every layer of every shard it
-//! processes.
+//! A [`BatchEngine`] takes an immutable borrow of a [`Sequential`],
+//! pre-packs each convolution's weights into the GEMM-ready transposed
+//! layout (and each dense layer's weights into `[in, out]`) exactly once,
+//! and then evaluates **batch shards in parallel** — the batch dimension
+//! is split into fixed-size shards that rayon workers process
+//! independently, each worker owning a private [`Scratch`] pool that is
+//! reused across every layer of every shard it processes.
 //!
-//! The gradient path works the same way: a recorded forward pass writes
-//! what backward needs into a caller-owned tape (one [`TapeSlot`] per
-//! layer, owned by the worker, never by the network), then
-//! [`BatchEngine::forward_backward_batch`] / [`BatchEngine::input_grad`]
-//! walk the tape backwards through each layer's immutable
-//! [`crate::Layer::input_grad`]. Only **input** gradients are produced —
-//! exactly what PGD/RP2/adaptive attack generation needs — so the
-//! weight-gradient GEMMs of the training backward are skipped entirely,
-//! and all `steps × images` gradient iterations of an attack run as
-//! `steps` batched passes.
+//! Backward passes work the same way: a recorded forward pass writes what
+//! backward needs into a caller-owned tape (one [`TapeSlot`] per layer,
+//! owned by the worker, never by the network), and the backward walks the
+//! tape in reverse.
+//!
+//! * **Attacks** ([`BatchEngine::forward_backward_with`],
+//!   [`BatchEngine::forward_backward_batch`], [`BatchEngine::input_grad`])
+//!   need input gradients only: every layer's [`crate::Layer::input_grad`]
+//!   runs, the weight-gradient kernels are skipped, and all
+//!   `steps × images` gradient iterations of an attack run as `steps`
+//!   batched passes.
+//! * **Training** ([`BatchEngine::forward_backward_params`]) runs the whole
+//!   mini-batch as one shard, so every kernel keeps its own intra-op
+//!   parallelism. Its tape also keeps the forward input of each layer with
+//!   parameters, whose [`crate::Layer::param_grad`] adds `dW` and `db` into
+//!   caller-owned accumulators that start at `+0.0`. This is the stateful
+//!   pass: its tape keeps each parameterised layer's forward input.
 //!
 //! # Determinism
 //!
-//! Forward outputs are **bit-identical** to running
-//! [`crate::Layer::forward`] with `train = false` over the same input, and
-//! input gradients are bit-identical to the per-image stateful
-//! [`Sequential::backward`] loop, for every batch size, shard size and
-//! thread count:
+//! Forward outputs are **bit-identical** to walking each layer's
+//! [`crate::Layer::infer`] over the same input, and attack input gradients
+//! are bit-identical to the training backward run image by image, for
+//! every batch size, shard size and thread count:
 //!
 //! * shard boundaries depend only on the batch size, never on the thread
 //!   count;
@@ -53,7 +56,7 @@
 //! (e.g. behind an `Arc`) across concurrently executing evaluation cells,
 //! and each cell freely constructs or reuses engines over those weights
 //! from whatever worker it lands on. Anything mutable (smoothing RNGs,
-//! training caches) lives outside the engine in per-cell clones.
+//! gradient accumulators) lives outside the engine.
 
 use std::sync::Arc;
 
@@ -84,16 +87,34 @@ enum EngineLayer<'n> {
     Plain(&'n LayerKind),
 }
 
+impl EngineLayer<'_> {
+    /// The borrowed layer behind this plan entry.
+    fn layer(&self) -> &dyn Layer {
+        match self {
+            EngineLayer::Conv { layer, .. } => *layer,
+            EngineLayer::Dense { layer, .. } => *layer,
+            EngineLayer::Plain(kind) => *kind,
+        }
+    }
+}
+
 /// Backward directive for one shard, produced by the loss closure passed
-/// to [`BatchEngine::forward_backward_with`].
+/// to [`BatchEngine::forward_backward_with`] or
+/// [`BatchEngine::forward_backward_params`].
 #[derive(Debug)]
 pub struct ShardGrad {
     /// Gradient of the shard loss with respect to the shard logits.
     pub d_logits: Tensor,
     /// Extra gradient injected at the collected feature layer's output
-    /// while back-propagating (adaptive feature penalties, Eq. 9–11).
-    /// Ignored when no feature layer was requested.
+    /// while back-propagating (adaptive feature penalties, Eq. 9–11; TV
+    /// and Tikhonov training penalties, Eq. 4, 6–7). Ignored when no
+    /// feature layer was requested.
     pub injection: Option<Tensor>,
+    /// Gradient of a weight-only loss term (the L∞ penalty of Eq. 2) with
+    /// respect to the weight of layer `.0`. It is added to that weight's
+    /// accumulator before the backward's `dW`. Only
+    /// [`BatchEngine::forward_backward_params`] reads it.
+    pub weight_grad: Option<(usize, Tensor)>,
     /// Scalar loss of this shard (diagnostics; the engine only forwards
     /// it into [`GradBatch::shard_losses`]).
     pub loss: f32,
@@ -110,6 +131,10 @@ pub struct GradBatch {
     /// Per-shard loss values, in shard order. With the default shard size
     /// of one image this is one loss per image.
     pub shard_losses: Vec<f32>,
+    /// Gradients of the loss with respect to every parameter, in
+    /// [`Sequential::params`] order. Empty unless the pass was
+    /// [`BatchEngine::forward_backward_params`].
+    pub param_grads: Vec<Tensor>,
 }
 
 /// A reusable, shareable inference plan over a borrowed [`Sequential`].
@@ -253,10 +278,13 @@ impl<'n> BatchEngine<'n> {
     /// Runs every layer over one shard while recording each layer's
     /// backward needs into `tapes` (resized to the network depth), and
     /// optionally cloning out the activation after layer `feature_layer`.
+    /// With `keep_inputs`, layers with parameters record their forward
+    /// input instead, for [`Layer::param_grad`].
     fn infer_shard_recorded(
         &self,
         shard: &Tensor,
         feature_layer: Option<usize>,
+        keep_inputs: bool,
         tapes: &mut Vec<TapeSlot>,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, Option<Tensor>)> {
@@ -287,6 +315,9 @@ impl<'n> BatchEngine<'n> {
                 }
                 EngineLayer::Plain(kind) => kind.infer_recording(input, &mut tapes[i], scratch)?,
             };
+            if keep_inputs && !engine_layer.layer().params().is_empty() {
+                tapes[i] = TapeSlot::Input(input.clone());
+            }
             if feature_layer == Some(i) {
                 feature = Some(out.clone());
             }
@@ -296,32 +327,41 @@ impl<'n> BatchEngine<'n> {
         Ok((logits, feature))
     }
 
-    /// Walks one shard's tape backwards through every layer's immutable
-    /// input-gradient path, adding `injection` at `feature_layer`'s output
-    /// on the way (mirroring [`Sequential::backward_with_injection`]).
-    fn input_grad_shard(
+    /// Walks one shard's tape backwards, adding `injection` at
+    /// `feature_layer`'s output on the way. Layers whose tape kept their
+    /// input add their parameter gradients into `grads` (all of the
+    /// network's accumulators, in [`Sequential::params`] order); every
+    /// other layer runs its input-gradient path.
+    fn backward_shard(
         &self,
         tapes: &[TapeSlot],
         d_logits: Tensor,
         injection: Option<(usize, &Tensor)>,
+        mut grads: Option<&mut [Tensor]>,
         scratch: &mut Scratch,
     ) -> Result<Tensor> {
         let mut grad = d_logits;
+        let mut params_end = grads.as_deref().map_or(0, <[Tensor]>::len);
         for (i, engine_layer) in self.layers.iter().enumerate().rev() {
             if let Some((idx, extra)) = injection {
                 if idx == i {
                     grad.add_scaled(extra, 1.0)?;
                 }
             }
-            grad = match engine_layer {
-                EngineLayer::Conv { layer, packed } => {
+            grad = match (&tapes[i], grads.as_deref_mut(), engine_layer) {
+                (TapeSlot::Input(input), Some(grads), _) => {
+                    let layer = engine_layer.layer();
+                    let start = params_end - layer.params().len();
+                    let d_input =
+                        layer.param_grad(input, &grad, &mut grads[start..params_end], scratch)?;
+                    params_end = start;
+                    d_input
+                }
+                (TapeSlot::InputDims(dims), _, EngineLayer::Conv { layer, packed }) => {
                     // The pack carries the pre-flipped taps for the direct
                     // transposed kernel — built once per engine, shared
                     // read-only across shards (bit-identical to the
                     // per-call layer path).
-                    let TapeSlot::InputDims(dims) = &tapes[i] else {
-                        return Err(NnError::MissingForwardCache("conv2d".to_string()));
-                    };
                     self.backend.conv2d_input_grad_prepacked(
                         packed,
                         &grad,
@@ -330,28 +370,49 @@ impl<'n> BatchEngine<'n> {
                         scratch,
                     )?
                 }
-                EngineLayer::Dense { layer, .. } => layer.input_grad(&tapes[i], &grad, scratch)?,
-                EngineLayer::Plain(kind) => kind.input_grad(&tapes[i], &grad, scratch)?,
+                (_, _, EngineLayer::Conv { .. }) => {
+                    return Err(NnError::MissingForwardCache("conv2d".to_string()))
+                }
+                (tape, _, other) => other.layer().input_grad(tape, &grad, scratch)?,
             };
         }
         Ok(grad)
     }
 
+    /// Index of layer `layer`'s first parameter (its weight) in
+    /// [`Sequential::params`] order.
+    fn weight_index(&self, layer: usize) -> Result<usize> {
+        match self.layers.get(layer) {
+            Some(l) if !l.layer().params().is_empty() => Ok(self.layers[..layer]
+                .iter()
+                .map(|l| l.layer().params().len())
+                .sum()),
+            _ => Err(NnError::BadConfig(format!(
+                "weight gradient for layer {layer}, which has no parameters"
+            ))),
+        }
+    }
+
     /// Forward + backward for one shard: recorded forward, caller's loss
-    /// closure, then the tape-driven input gradient.
+    /// closure, then the tape-driven backward. With `grads`, the tape keeps
+    /// each parameterised layer's input and the backward accumulates into
+    /// `grads`, seeded first with the closure's weight-only gradient.
+    #[allow(clippy::too_many_arguments)]
     fn run_shard_backward<F>(
         &self,
         shard: &Tensor,
         start: usize,
         feature_layer: Option<usize>,
-        grad_fn: &F,
+        grad_fn: F,
+        mut grads: Option<&mut [Tensor]>,
         tapes: &mut Vec<TapeSlot>,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, Tensor, f32)>
     where
-        F: Fn(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad> + Sync,
+        F: FnOnce(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad>,
     {
-        let (logits, feature) = self.infer_shard_recorded(shard, feature_layer, tapes, scratch)?;
+        let (logits, feature) =
+            self.infer_shard_recorded(shard, feature_layer, grads.is_some(), tapes, scratch)?;
         let shard_grad = grad_fn(start, &logits, feature.as_ref())?;
         if shard_grad.d_logits.dims() != logits.dims() {
             return Err(NnError::BadConfig(format!(
@@ -360,12 +421,37 @@ impl<'n> BatchEngine<'n> {
                 logits.dims()
             )));
         }
+        if let (Some(grads), Some((layer, extra))) =
+            (grads.as_deref_mut(), shard_grad.weight_grad.as_ref())
+        {
+            grads[self.weight_index(*layer)?].add_scaled(extra, 1.0)?;
+        }
         let injection = match (feature_layer, shard_grad.injection.as_ref()) {
             (Some(idx), Some(extra)) => Some((idx, extra)),
             _ => None,
         };
-        let d_input = self.input_grad_shard(tapes, shard_grad.d_logits, injection, scratch)?;
+        let d_input = self.backward_shard(tapes, shard_grad.d_logits, injection, grads, scratch)?;
         Ok((logits, d_input, shard_grad.loss))
+    }
+
+    /// Rejects an empty batch or an out-of-range feature layer before any
+    /// backward pass runs.
+    fn check_backward_args(&self, input: &Tensor, feature_layer: Option<usize>) -> Result<()> {
+        if input.shape().rank() < 2 || input.dims()[0] == 0 {
+            return Err(NnError::BadConfig(format!(
+                "forward_backward expects a non-empty [N, ...] batch, got {}",
+                input.shape()
+            )));
+        }
+        if let Some(idx) = feature_layer {
+            if idx >= self.layers.len() {
+                return Err(NnError::BadConfig(format!(
+                    "feature layer index {idx} out of range for {} layers",
+                    self.layers.len()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Runs a recorded forward pass and a tape-driven backward pass over an
@@ -396,26 +482,13 @@ impl<'n> BatchEngine<'n> {
     where
         F: Fn(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad> + Sync,
     {
-        if input.shape().rank() < 2 || input.dims()[0] == 0 {
-            return Err(NnError::BadConfig(format!(
-                "forward_backward expects a non-empty [N, ...] batch, got {}",
-                input.shape()
-            )));
-        }
-        if let Some(idx) = feature_layer {
-            if idx >= self.layers.len() {
-                return Err(NnError::BadConfig(format!(
-                    "feature layer index {idx} out of range for {} layers",
-                    self.layers.len()
-                )));
-            }
-        }
+        self.check_backward_args(input, feature_layer)?;
         let results = self.run_sharded(
             input,
             || (Scratch::with_backend(self.backend()), Vec::new()),
             |state, start, shard| {
                 let (scratch, tapes) = state;
-                self.run_shard_backward(shard, start, feature_layer, &grad_fn, tapes, scratch)
+                self.run_shard_backward(shard, start, feature_layer, &grad_fn, None, tapes, scratch)
             },
         )?;
         let mut logits = Vec::with_capacity(results.len());
@@ -430,6 +503,60 @@ impl<'n> BatchEngine<'n> {
             logits: Tensor::concat_batch(&logits)?,
             input_grad: Tensor::concat_batch(&grads)?,
             shard_losses: losses,
+            param_grads: Vec::new(),
+        })
+    }
+
+    /// One training step's forward and backward: runs the whole `[N, ...]`
+    /// batch as a **single shard** on the calling thread (every kernel
+    /// keeps its own intra-op parallelism) and returns the gradients of
+    /// the loss with respect to every parameter, in
+    /// [`Sequential::params`] order, beside the logits, the input gradient
+    /// and the loss (`shard_losses[0]`).
+    ///
+    /// `grad_fn(0, logits, feature)` is the closure
+    /// [`BatchEngine::forward_backward_with`] takes, called once with the
+    /// whole batch; its [`ShardGrad::injection`] enters at `feature_layer`
+    /// and its [`ShardGrad::weight_grad`] seeds that layer's weight
+    /// accumulator. Every accumulator starts at `+0.0`, takes the
+    /// weight-only term first, then the backward's `dW` — the add sequence
+    /// the trained-model goldens pin.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty batch, an out-of-range
+    /// `feature_layer`, a `weight_grad` for a layer without parameters,
+    /// mismatched shapes, or any `grad_fn` failure.
+    pub fn forward_backward_params<F>(
+        &self,
+        input: &Tensor,
+        feature_layer: Option<usize>,
+        grad_fn: F,
+    ) -> Result<GradBatch>
+    where
+        F: FnOnce(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad>,
+    {
+        self.check_backward_args(input, feature_layer)?;
+        let mut param_grads: Vec<Tensor> = self
+            .layers
+            .iter()
+            .flat_map(|l| l.layer().params())
+            .map(|p| Tensor::zeros(p.dims()))
+            .collect();
+        let (logits, input_grad, loss) = self.run_shard_backward(
+            input,
+            0,
+            feature_layer,
+            grad_fn,
+            Some(&mut param_grads),
+            &mut Vec::new(),
+            &mut Scratch::with_backend(self.backend()),
+        )?;
+        Ok(GradBatch {
+            logits,
+            input_grad,
+            shard_losses: vec![loss],
+            param_grads,
         })
     }
 
@@ -504,8 +631,9 @@ impl<'n> BatchEngine<'n> {
     /// sharded like [`BatchEngine::forward`].
     ///
     /// `grad_output` must be `[N, classes]` aligned with `input`'s batch
-    /// dimension. Bit-identical at every thread count, and identical to a
-    /// per-image stateful `forward`/`backward` loop over the same rows.
+    /// dimension. Bit-identical at every thread count, and identical to
+    /// [`BatchEngine::forward_backward_params`] run image by image over the
+    /// same rows.
     ///
     /// # Errors
     ///
@@ -522,6 +650,7 @@ impl<'n> BatchEngine<'n> {
             Ok(ShardGrad {
                 d_logits: grad_output.batch_slice(start, logits.dims()[0])?,
                 injection: None,
+                weight_grad: None,
                 loss: 0.0,
             })
         })?;
@@ -554,6 +683,7 @@ impl<'n> BatchEngine<'n> {
             Ok(ShardGrad {
                 d_logits,
                 injection: None,
+                weight_grad: None,
                 loss,
             })
         })
@@ -562,8 +692,8 @@ impl<'n> BatchEngine<'n> {
     /// Runs the network over an `[N, ...]` batch, sharding the batch
     /// dimension across rayon workers.
     ///
-    /// Bit-identical to a per-sample [`Sequential::forward`] loop with
-    /// `train = false`, at every thread count (see the module docs).
+    /// Bit-identical to walking each layer's [`Layer::infer`] over the
+    /// whole batch, at every thread count (see the module docs).
     ///
     /// # Errors
     ///
@@ -631,13 +761,31 @@ mod tests {
             .unwrap()
     }
 
+    /// The training (stateful) pass over a whole batch, with a fixed
+    /// logit gradient and nothing injected.
+    fn training_pass(engine: &BatchEngine<'_>, batch: &Tensor, d_logits: &Tensor) -> GradBatch {
+        engine
+            .forward_backward_params(batch, None, |_, _, _| {
+                Ok(ShardGrad {
+                    d_logits: d_logits.clone(),
+                    injection: None,
+                    weight_grad: None,
+                    loss: 0.0,
+                })
+            })
+            .unwrap()
+    }
+
     #[test]
     fn engine_matches_stateful_forward_bitwise() {
-        let mut net = lisa_net(1);
+        let net = lisa_net(1);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let batch = Tensor::rand_uniform(&[5, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let reference = net.forward(&batch, false).unwrap();
         let engine = BatchEngine::new(&net).unwrap();
+        // The training pass's recording forward over the whole batch...
+        let reference = training_pass(&engine, &batch, &Tensor::zeros(&[5, 18])).logits;
+        // ...equals the layer-by-layer walk and the sharded inference.
+        assert_eq!(net.activation(&batch, net.len() - 1).unwrap(), reference);
         assert_eq!(engine.forward(&batch).unwrap(), reference);
         // A second call through the same engine (reused packs) agrees too.
         assert_eq!(engine.forward(&batch).unwrap(), reference);
@@ -676,11 +824,12 @@ mod tests {
 
     #[test]
     fn predict_matches_stateful_predict() {
-        let mut net = lisa_net(7);
+        let net = lisa_net(7);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let batch = Tensor::rand_uniform(&[4, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let expected = net.predict(&batch).unwrap();
         let engine = BatchEngine::new(&net).unwrap();
+        let logits = training_pass(&engine, &batch, &Tensor::zeros(&[4, 18])).logits;
+        let expected = loss::predictions(&logits).unwrap();
         assert_eq!(engine.predict(&batch).unwrap(), expected);
     }
 
@@ -724,24 +873,58 @@ mod tests {
 
     #[test]
     fn input_grad_matches_stateful_backward_per_image() {
-        let mut net = lisa_net(11);
+        let net = lisa_net(11);
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         let batch = Tensor::rand_uniform(&[5, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let logits = net.forward(&batch, false).unwrap();
-        let grad_out = Tensor::rand_uniform(logits.dims(), -1.0, 1.0, &mut rng);
-        // Per-image mutable reference.
+        let grad_out = Tensor::rand_uniform(&[5, 18], -1.0, 1.0, &mut rng);
+        let engine = BatchEngine::new(&net).unwrap();
+        // Per-image training-pass reference: its backward runs the full
+        // conv/depthwise backward kernels, the attack tape the input-grad
+        // kernels.
         let mut parts = Vec::new();
         for i in 0..5 {
             let image = batch.batch_slice(i, 1).unwrap();
-            net.forward(&image, true).unwrap();
-            parts.push(net.backward(&grad_out.batch_slice(i, 1).unwrap()).unwrap());
+            let row = grad_out.batch_slice(i, 1).unwrap();
+            parts.push(training_pass(&engine, &image, &row).input_grad);
         }
         let reference = Tensor::concat_batch(&parts).unwrap();
-        let engine = BatchEngine::new(&net).unwrap();
         let got = engine.input_grad(&batch, &grad_out).unwrap();
-        assert_eq!(got, reference, "tape backward diverged from stateful");
+        assert_eq!(got, reference, "attack tape diverged from training tape");
         // Misaligned grad_output is rejected.
         assert!(engine.input_grad(&batch, &Tensor::zeros(&[4, 18])).is_err());
+    }
+
+    #[test]
+    fn weight_grad_seeds_the_weight_accumulator() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let net = LisaCnn::new(18)
+            .input_size(16)
+            .conv1_filters(4)
+            .with_trainable_depthwise(3)
+            .build(&mut rng)
+            .unwrap();
+        let image = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
+        let engine = BatchEngine::new(&net).unwrap();
+        let seed = Tensor::rand_uniform(&[4, 3, 3], -1.0, 1.0, &mut rng);
+        let run = |layer: usize| {
+            engine.forward_backward_params(&image, None, |_, logits, _| {
+                Ok(ShardGrad {
+                    d_logits: Tensor::zeros(logits.dims()),
+                    injection: None,
+                    weight_grad: Some((layer, seed.clone())),
+                    loss: 0.0,
+                })
+            })
+        };
+        // Layer 1 is the depthwise layer; its weight follows conv1's weight
+        // and bias in params order. With a zero loss gradient the backward
+        // adds only zeros, so the seed comes back unchanged.
+        let out = run(1).unwrap();
+        assert_eq!(out.param_grads[2], seed);
+        assert_eq!(out.param_grads[0].l1_norm(), 0.0);
+        // A layer without parameters (ReLU at index 2) is rejected.
+        assert!(run(2).is_err());
+        assert!(run(99).is_err());
     }
 
     #[test]
@@ -774,40 +957,41 @@ mod tests {
 
     #[test]
     fn feature_collection_and_injection_match_stateful_path() {
-        let mut net = lisa_net(15);
+        let net = lisa_net(15);
         let mut rng = ChaCha8Rng::seed_from_u64(16);
         let image = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
         let feature_layer = 0usize;
-
-        // Stateful reference: collect activations, inject ones at conv1's
-        // output with a zero loss gradient.
-        let (logits, activations) = net.forward_collect(&image, true).unwrap();
-        let injection = Tensor::ones(activations[feature_layer].dims());
-        let reference = net
-            .backward_with_injection(&Tensor::zeros(logits.dims()), &[(0, injection.clone())])
-            .unwrap();
+        let expected_feature = net.activation(&image, feature_layer).unwrap();
+        // Inject ones at conv1's output with a zero loss gradient.
+        let grad_fn = |_: usize, shard_logits: &Tensor, feature: Option<&Tensor>| {
+            let feature = feature.expect("feature activation collected");
+            assert_eq!(feature, &expected_feature);
+            Ok(ShardGrad {
+                d_logits: Tensor::zeros(shard_logits.dims()),
+                injection: Some(Tensor::ones(feature.dims())),
+                weight_grad: None,
+                loss: 0.5,
+            })
+        };
 
         let engine = BatchEngine::new(&net).unwrap();
-        let out = engine
-            .forward_backward_with(&image, Some(feature_layer), |_, shard_logits, feature| {
-                let feature = feature.expect("feature activation collected");
-                assert_eq!(feature.dims(), activations[feature_layer].dims());
-                assert_eq!(feature, &activations[feature_layer]);
-                Ok(ShardGrad {
-                    d_logits: Tensor::zeros(shard_logits.dims()),
-                    injection: Some(Tensor::ones(feature.dims())),
-                    loss: 0.5,
-                })
-            })
+        let reference = engine
+            .forward_backward_params(&image, Some(feature_layer), grad_fn)
             .unwrap();
-        assert_eq!(out.input_grad, reference);
+        let out = engine
+            .forward_backward_with(&image, Some(feature_layer), grad_fn)
+            .unwrap();
+        assert_eq!(out.input_grad, reference.input_grad);
         assert_eq!(out.shard_losses, vec![0.5]);
+        assert!(out.param_grads.is_empty());
+        assert_eq!(reference.param_grads.len(), net.params().len());
 
         // Out-of-range feature layer is rejected up front.
         assert!(engine
             .forward_backward_with(&image, Some(99), |_, l, _| Ok(ShardGrad {
                 d_logits: Tensor::zeros(l.dims()),
                 injection: None,
+                weight_grad: None,
                 loss: 0.0,
             }))
             .is_err());
@@ -816,6 +1000,7 @@ mod tests {
             .forward_backward_with(&image, None, |_, _, _| Ok(ShardGrad {
                 d_logits: Tensor::zeros(&[1, 3]),
                 injection: None,
+                weight_grad: None,
                 loss: 0.0,
             }))
             .is_err());

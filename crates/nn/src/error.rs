@@ -7,7 +7,7 @@ use blurnet_tensor::TensorError;
 pub enum NnError {
     /// An underlying tensor operation failed.
     Tensor(TensorError),
-    /// `backward` was called without a preceding `forward`.
+    /// A backward pass found no forward record for a layer in its tape.
     MissingForwardCache(String),
     /// A configuration value was invalid (layer sizes, hyper-parameters, …).
     BadConfig(String),

@@ -7,16 +7,16 @@ use serde::{Deserialize, Serialize};
 use crate::{Conv2d, Dense, DepthwiseConv2d, Flatten, MaxPool2d, NnError, Relu, Result};
 
 /// A caller-owned backward record for one layer, written by
-/// [`Layer::infer_recording`] and consumed by [`Layer::input_grad`].
+/// [`Layer::infer_recording`] (or, for layers with parameters in a
+/// training pass, by the batch engine) and consumed by [`Layer::input_grad`]
+/// and [`Layer::param_grad`].
 ///
-/// The mutable [`Layer::forward`]/[`Layer::backward`] path stores its cache
-/// *inside* the layer, which serializes a network behind `&mut self`. The
-/// tape moves that cache out to the caller: the layer stays immutable, so
-/// one frozen network can run many recorded forward/backward passes
-/// concurrently (one tape vector per batch shard). Slots are deliberately
-/// minimal — the input-gradient backward never needs the forward input
-/// itself, only the ReLU sign mask, the max-pool argmax table and input
-/// shapes.
+/// The record lives with the caller, not the layer: the layer stays
+/// immutable, so one frozen network can run many recorded forward/backward
+/// passes concurrently (one tape vector per batch shard). Slots are
+/// deliberately minimal — the input-gradient backward never needs the
+/// forward input itself, only the ReLU sign mask, the max-pool argmax table
+/// and input shapes; only weight gradients read the input.
 #[derive(Debug, Default, Clone)]
 pub enum TapeSlot {
     /// Nothing recorded (layers whose input gradient needs no forward
@@ -26,6 +26,9 @@ pub enum TapeSlot {
     /// The forward input's dimensions (convolutions fold `g · W` back into
     /// this shape; flatten reshapes into it).
     InputDims(Vec<usize>),
+    /// The forward input itself, kept for a layer with parameters when the
+    /// pass asks for parameter gradients (`dW` reads it).
+    Input(Tensor),
     /// ReLU sign mask: `1.0` where the forward input was positive.
     ReluMask(Tensor),
     /// Max-pool argmax table plus the input dimensions it indexes into.
@@ -39,7 +42,7 @@ pub enum TapeSlot {
 
 impl TapeSlot {
     /// The error raised when a slot does not hold `layer`'s record — the
-    /// immutable analogue of calling `backward` before `forward`.
+    /// tape analogue of running backward before forward.
     pub(crate) fn mismatch(layer: &'static str) -> NnError {
         NnError::MissingForwardCache(layer.to_string())
     }
@@ -47,46 +50,29 @@ impl TapeSlot {
 
 /// A single differentiable network layer.
 ///
-/// `forward` caches whatever it needs so that a subsequent `backward` call
-/// can compute the gradient with respect to the layer input and accumulate
-/// parameter gradients internally. The [`Layer::infer_recording`] /
-/// [`Layer::input_grad`] pair is the immutable counterpart used by the
-/// batched gradient engine: the backward record lives in a caller-owned
-/// [`TapeSlot`] instead of the layer.
+/// Every method takes `&self`: a recorded forward pass
+/// ([`Layer::infer_recording`]) writes what backward needs into a
+/// caller-owned [`TapeSlot`], and the backward methods read it back —
+/// [`Layer::input_grad`] for the gradient with respect to the layer input
+/// (attacks), [`Layer::param_grad`] when parameter gradients are wanted as
+/// well (training). Gradient accumulators are the caller's too.
 pub trait Layer: std::fmt::Debug {
     /// Human-readable layer name used in error messages and summaries.
     fn name(&self) -> &'static str;
 
-    /// Runs the layer on `input`, caching intermediates for `backward`.
-    ///
-    /// `train` distinguishes training from inference for layers that behave
-    /// differently (none of the current layers do, but defenses wrap this).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor>;
-
-    /// Runs the layer in pure inference mode: no backward cache is written,
-    /// so the receiver stays immutable and the same layer can serve many
-    /// batch shards concurrently. Workspace buffers are drawn from the
-    /// caller's `scratch` pool.
-    ///
-    /// Produces bit-identical outputs to [`Layer::forward`] with
-    /// `train = false` on the same input.
+    /// Runs the layer in pure inference mode, drawing workspace buffers
+    /// from the caller's `scratch` pool. The receiver is immutable, so the
+    /// same layer can serve many batch shards concurrently.
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor>;
 
-    /// Runs the layer immutably like [`Layer::infer`], additionally
-    /// recording into the caller-owned `tape` exactly what a subsequent
-    /// [`Layer::input_grad`] call needs. Workspace buffers come from the
-    /// caller's `scratch` pool.
-    ///
-    /// Produces bit-identical outputs to [`Layer::forward`] with
-    /// `train = false` on the same input.
+    /// Runs the layer like [`Layer::infer`], additionally recording into
+    /// the caller-owned `tape` exactly what a subsequent
+    /// [`Layer::input_grad`] call needs. Produces bit-identical outputs to
+    /// [`Layer::infer`] on the same input.
     ///
     /// # Errors
     ///
@@ -98,14 +84,11 @@ pub trait Layer: std::fmt::Debug {
         scratch: &mut Scratch,
     ) -> Result<Tensor>;
 
-    /// Propagates `grad_output` back through the layer **immutably**,
-    /// consuming the record a prior [`Layer::infer_recording`] call wrote
-    /// into `tape` and returning the gradient with respect to the layer
-    /// input. No parameter gradients are accumulated — this is the
-    /// attack-generation backward, where only the input gradient matters.
-    ///
-    /// Produces the same input gradient as the stateful
-    /// [`Layer::backward`] on the same operands.
+    /// Propagates `grad_output` back through the layer, consuming the
+    /// record a prior [`Layer::infer_recording`] call wrote into `tape`
+    /// and returning the gradient with respect to the layer input. No
+    /// parameter gradients are computed — this is the attack-generation
+    /// backward, where only the input gradient matters.
     ///
     /// # Errors
     ///
@@ -119,33 +102,57 @@ pub trait Layer: std::fmt::Debug {
         scratch: &mut Scratch,
     ) -> Result<Tensor>;
 
-    /// Propagates `grad_output` back through the layer, accumulating
-    /// parameter gradients and returning the gradient with respect to the
-    /// layer input.
+    /// Propagates `grad_output` back through a layer with parameters,
+    /// given the forward `input` the training pass kept in its tape: adds
+    /// each parameter's gradient into the caller-owned accumulators
+    /// `grads` (one per [`Layer::params`] entry, same order) and returns
+    /// the gradient with respect to the layer input.
+    ///
+    /// Layers without parameters have nothing to accumulate and reject the
+    /// call.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::NnError::MissingForwardCache`] if `forward` has not
-    /// been called, or a shape error if `grad_output` does not match the
-    /// cached forward output.
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+    /// Returns [`NnError::BadConfig`] for a layer without parameters or a
+    /// wrong accumulator count, or a shape error for mismatched operands.
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grads: &mut [Tensor],
+        scratch: &mut Scratch,
+    ) -> Result<Tensor> {
+        let _ = (input, grad_output, grads, scratch);
+        Err(NnError::BadConfig(format!(
+            "{} has no parameters to differentiate",
+            self.name()
+        )))
+    }
 
-    /// Mutable (parameter, accumulated gradient) pairs, in a stable order.
+    /// The trainable parameters, in a stable order.
     ///
     /// Non-trainable layers return an empty vector.
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)>;
-
-    /// Immutable access to the trainable parameters, in the same order as
-    /// [`Layer::param_grad_pairs`].
     fn params(&self) -> Vec<&Tensor>;
-
-    /// Clears the accumulated parameter gradients.
-    fn zero_grads(&mut self);
 
     /// Number of trainable scalar parameters.
     fn parameter_count(&self) -> usize {
         self.params().iter().map(|p| p.len()).sum()
     }
+}
+
+/// Checks that `layer` has parameters and `grads` holds one accumulator
+/// per parameter.
+pub(crate) fn check_accumulators(layer: &dyn Layer, grads: &[Tensor]) -> Result<()> {
+    let params = layer.params();
+    if params.is_empty() || grads.len() != params.len() {
+        return Err(NnError::BadConfig(format!(
+            "{} has {} parameters, got {} gradient accumulators",
+            layer.name(),
+            params.len(),
+            grads.len()
+        )));
+    }
+    Ok(())
 }
 
 /// A concrete, serializable layer. [`crate::Sequential`] stores this enum so
@@ -185,10 +192,6 @@ impl Layer for LayerKind {
         dispatch!(self, l => l.name())
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        dispatch!(self, l => l.forward(input, train))
-    }
-
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
         dispatch!(self, l => l.infer(input, scratch))
     }
@@ -211,20 +214,31 @@ impl Layer for LayerKind {
         dispatch!(self, l => l.input_grad(tape, grad_output, scratch))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        dispatch!(self, l => l.backward(grad_output))
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        dispatch!(self, l => l.param_grad_pairs())
+    fn param_grad(
+        &self,
+        input: &Tensor,
+        grad_output: &Tensor,
+        grads: &mut [Tensor],
+        scratch: &mut Scratch,
+    ) -> Result<Tensor> {
+        dispatch!(self, l => l.param_grad(input, grad_output, grads, scratch))
     }
 
     fn params(&self) -> Vec<&Tensor> {
         dispatch!(self, l => l.params())
     }
+}
 
-    fn zero_grads(&mut self) {
-        dispatch!(self, l => l.zero_grads())
+impl LayerKind {
+    /// Mutable access to the trainable parameters, in [`Layer::params`]
+    /// order — how an optimizer step writes updated weights back.
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        match self {
+            LayerKind::Conv2d(l) => l.params_mut(),
+            LayerKind::Depthwise(l) => l.params_mut(),
+            LayerKind::Dense(l) => l.params_mut(),
+            LayerKind::Relu(_) | LayerKind::MaxPool(_) | LayerKind::Flatten(_) => Vec::new(),
+        }
     }
 }
 
@@ -281,11 +295,11 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let mut kind: LayerKind = conv.clone().into();
+        let kind: LayerKind = conv.clone().into();
         assert_eq!(kind.name(), "conv2d");
         assert_eq!(kind.parameter_count(), conv.parameter_count());
         let input = Tensor::zeros(&[1, 3, 8, 8]);
-        let out = kind.forward(&input, false).unwrap();
+        let out = kind.infer(&input, &mut Scratch::new()).unwrap();
         assert_eq!(out.dims(), &[1, 4, 8, 8]);
     }
 
@@ -295,5 +309,11 @@ mod tests {
         assert_eq!(relu.parameter_count(), 0);
         let flat: LayerKind = Flatten::new().into();
         assert_eq!(flat.parameter_count(), 0);
+        // ...and refuse a parameter-gradient backward.
+        let x = Tensor::ones(&[1, 4]);
+        assert!(matches!(
+            relu.param_grad(&x, &x, &mut [], &mut Scratch::new()),
+            Err(NnError::BadConfig(_))
+        ));
     }
 }

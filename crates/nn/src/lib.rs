@@ -1,18 +1,23 @@
 //! A small layer-wise neural-network framework with explicit backward
 //! passes, built for the BlurNet reproduction.
 //!
-//! The framework deliberately avoids a general autodiff tape: every layer
+//! The framework deliberately avoids a general autodiff graph: every layer
 //! implements its own forward and backward pass over
-//! [`blurnet_tensor::Tensor`] values, which keeps the computation easy to
-//! audit and gives the two things the paper's experiments need beyond plain
-//! training:
+//! [`blurnet_tensor::Tensor`] values, with the backward record kept in a
+//! caller-owned tape ([`TapeSlot`]) rather than in the layer. Layers and
+//! networks are therefore immutable during every pass, and one autodiff
+//! path — the [`BatchEngine`] — serves both things the paper's experiments
+//! need beyond plain inference:
 //!
 //! * gradients **with respect to the input image** (for the RP2, PGD and
-//!   adaptive attacks), via [`Sequential::backward`] returning the input
-//!   gradient, and
-//! * gradient **injection at intermediate activations** (for the
-//!   total-variation and Tikhonov feature-map regularizers of Eq. 4, 6 and
-//!   7), via [`Sequential::backward_with_injection`].
+//!   adaptive attacks), via [`BatchEngine::forward_backward_with`], and
+//! * **parameter gradients** for training, via
+//!   [`BatchEngine::forward_backward_params`].
+//!
+//! Both take an extra gradient to inject at an intermediate activation —
+//! the adaptive attacks' feature penalties (Eq. 9–11) and the total-variation
+//! and Tikhonov feature-map regularizers (Eq. 4, 6 and 7) — and training
+//! also takes a weight-only gradient (the L∞ term of Eq. 2).
 //!
 //! The [`model::LisaCnn`] builder replicates the paper's road-sign
 //! classifier topology (three convolution layers plus a fully-connected
@@ -20,16 +25,15 @@
 //! the first convolution.
 //!
 //! Inference-heavy workloads (the attack×defense evaluation grids behind
-//! every table of the paper) go through the **batch-parallel engine**:
-//! [`Sequential::forward_batch`] / [`BatchEngine`] shard the batch
-//! dimension across rayon workers with per-worker scratch pools and
-//! once-per-pass weight packing, producing outputs bit-identical to the
-//! per-sample path at every thread count.
+//! every table of the paper) shard the batch dimension across rayon workers
+//! with per-worker scratch pools and once-per-pass weight packing,
+//! producing outputs bit-identical to the unsharded path at every thread
+//! count.
 //!
 //! # Example
 //!
 //! ```
-//! use blurnet_nn::{model::LisaCnn, loss::softmax_cross_entropy};
+//! use blurnet_nn::{model::LisaCnn, softmax_cross_entropy, Adam, Optimizer, ShardGrad};
 //! use blurnet_tensor::Tensor;
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
@@ -37,10 +41,17 @@
 //! let mut rng = ChaCha8Rng::seed_from_u64(0);
 //! let mut net = LisaCnn::new(18).build(&mut rng)?;
 //! let batch = Tensor::zeros(&[2, 3, 32, 32]);
-//! let logits = net.forward(&batch, false)?;
+//! let logits = net.forward_batch(&batch)?;
 //! assert_eq!(logits.dims(), &[2, 18]);
-//! let (loss, _grad) = softmax_cross_entropy(&logits, &[0, 1])?;
-//! assert!(loss > 0.0);
+//!
+//! // One training step: loss closure, parameter gradients, optimizer.
+//! let step = net.batch_engine()?.forward_backward_params(&batch, None, |_, logits, _| {
+//!     let (loss, d_logits) = softmax_cross_entropy(logits, &[0, 1])?;
+//!     Ok(ShardGrad { d_logits, injection: None, weight_grad: None, loss })
+//! })?;
+//! assert!(step.shard_losses[0] > 0.0);
+//! let mut pairs: Vec<_> = net.params_mut().into_iter().zip(&step.param_grads).collect();
+//! Adam::new(1e-3)?.step(&mut pairs)?;
 //! # Ok::<(), blurnet_nn::NnError>(())
 //! ```
 

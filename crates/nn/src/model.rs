@@ -245,9 +245,9 @@ mod tests {
     fn default_architecture_forward_shape() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let builder = LisaCnn::new(18);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let x = Tensor::zeros(&[2, 3, 32, 32]);
-        let y = net.forward(&x, false).unwrap();
+        let y = net.forward_batch(&x).unwrap();
         assert_eq!(y.dims(), &[2, 18]);
         assert_eq!(builder.config().feature_map_extent(), 16);
         assert_eq!(builder.config().feature_layer_index(), 0);
@@ -261,11 +261,11 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let kernel = Tensor::full(&[5, 5], 1.0 / 25.0);
         let builder = LisaCnn::new(18).with_fixed_blur(kernel);
-        let mut blurred = builder.build(&mut rng).unwrap();
+        let blurred = builder.build(&mut rng).unwrap();
         assert_eq!(blurred.len(), plain.len() + 1);
         assert_eq!(builder.config().filter_layer_index(), Some(1));
         let x = Tensor::zeros(&[1, 3, 32, 32]);
-        assert_eq!(blurred.forward(&x, false).unwrap().dims(), &[1, 18]);
+        assert_eq!(blurred.forward_batch(&x).unwrap().dims(), &[1, 18]);
         // The fixed blur layer adds no parameters.
         assert_eq!(blurred.parameter_count(), plain.parameter_count());
     }
@@ -286,14 +286,17 @@ mod tests {
     fn feature_map_activation_has_documented_extent() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let builder = LisaCnn::new(18);
-        let mut net = builder.build(&mut rng).unwrap();
+        let net = builder.build(&mut rng).unwrap();
         let x = Tensor::zeros(&[1, 3, 32, 32]);
-        let (_, acts) = net.forward_collect(&x, false).unwrap();
-        let fm = &acts[builder.config().feature_layer_index()];
+        let fm = net
+            .activation(&x, builder.config().feature_layer_index())
+            .unwrap();
         let extent = builder.config().feature_map_extent();
         assert_eq!(fm.dims(), &[1, 8, extent, extent]);
         // Second-conv activations for Figure 4.
-        let second = &acts[builder.config().second_conv_layer_index()];
+        let second = net
+            .activation(&x, builder.config().second_conv_layer_index())
+            .unwrap();
         assert_eq!(second.dims()[1], builder.config().conv2_filters);
     }
 
@@ -308,8 +311,8 @@ mod tests {
     fn smaller_input_sizes_build() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let builder = LisaCnn::new(4).input_size(16).conv1_filters(4);
-        let mut net = builder.build(&mut rng).unwrap();
-        let y = net.forward(&Tensor::zeros(&[1, 3, 16, 16]), false).unwrap();
+        let net = builder.build(&mut rng).unwrap();
+        let y = net.forward_batch(&Tensor::zeros(&[1, 3, 16, 16])).unwrap();
         assert_eq!(y.dims(), &[1, 4]);
     }
 }

@@ -1,23 +1,26 @@
 //! The [`Sequential`] network container.
 
-use blurnet_tensor::Tensor;
+use blurnet_tensor::{Scratch, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::{loss, BatchEngine, Layer, LayerKind, NnError, Result};
 
 /// A feed-forward stack of layers.
 ///
-/// Beyond the usual forward/backward API the container supports the two
-/// operations the BlurNet experiments need:
+/// The container holds parameters only; every pass runs through a
+/// [`BatchEngine`] over an immutable borrow. Beyond inference the engine
+/// gives the BlurNet experiments the two operations they need:
 ///
-/// * [`Sequential::forward_collect`] returns every intermediate activation,
-///   so feature-map regularizers and the spectrum analyses of Figures 2 and
-///   4 can inspect specific layers;
-/// * [`Sequential::backward_with_injection`] adds extra gradient at chosen
-///   layer outputs while back-propagating, which is how the TV and Tikhonov
+/// * gradients with respect to the input, with an optional extra gradient
+///   injected at a chosen layer's output — how adaptive attacks reach the
+///   input (Eq. 9–11);
+/// * parameter gradients with the same injection
+///   ([`BatchEngine::forward_backward_params`]) — how the TV and Tikhonov
 ///   penalties on first-layer feature maps reach the first convolution's
-///   weights (Eq. 4, 6, 7) — and how adaptive attacks reach the input
-///   (Eq. 9–11).
+///   weights during training (Eq. 4, 6, 7).
+///
+/// [`Sequential::activation`] returns any intermediate activation, for the
+/// spectrum analyses of Figures 2 and 4.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Sequential {
     layers: Vec<LayerKind>,
@@ -59,46 +62,19 @@ impl Sequential {
         self.layers.get(index)
     }
 
-    /// Mutable access to layer `index`.
-    pub fn layer_mut(&mut self, index: usize) -> Option<&mut LayerKind> {
-        self.layers.get_mut(index)
-    }
-
     /// Iterates over the layers.
     pub fn iter(&self) -> std::slice::Iter<'_, LayerKind> {
         self.layers.iter()
-    }
-
-    /// Runs the network on a batch, caching intermediates for `backward`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first layer error (shape mismatch, empty network, …).
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("network has no layers".into()));
-        }
-        // Feed each layer the previous layer's owned output — no per-layer
-        // activation clones on the batched forward path.
-        let mut x: Option<Tensor> = None;
-        for layer in &mut self.layers {
-            let out = match &x {
-                None => layer.forward(input, train)?,
-                Some(prev) => layer.forward(prev, train)?,
-            };
-            x = Some(out);
-        }
-        Ok(x.expect("non-empty network produced an output"))
     }
 
     /// Runs the network over an `[N, ...]` batch in pure inference mode,
     /// sharding the batch dimension across rayon workers (see
     /// [`BatchEngine`]).
     ///
-    /// Unlike [`Sequential::forward`], the receiver stays immutable: no
-    /// backward caches are written, so one network can serve concurrent
-    /// callers. The output is **bit-identical** to a per-sample `forward`
-    /// loop with `train = false`, at every `RAYON_NUM_THREADS` setting.
+    /// The receiver stays immutable, so one network can serve concurrent
+    /// callers. The output is **bit-identical** to walking the layers'
+    /// [`Layer::infer`] over the whole batch, at every
+    /// `RAYON_NUM_THREADS` setting.
     ///
     /// This builds a fresh [`BatchEngine`] per call (packing each layer's
     /// weights once); loops that evaluate many batches against a frozen
@@ -111,12 +87,12 @@ impl Sequential {
     /// use rand_chacha::ChaCha8Rng;
     ///
     /// let mut rng = ChaCha8Rng::seed_from_u64(0);
-    /// let mut net = LisaCnn::new(18).build(&mut rng)?;
+    /// let net = LisaCnn::new(18).build(&mut rng)?;
     /// let batch = Tensor::zeros(&[4, 3, 32, 32]);
     /// let logits = net.forward_batch(&batch)?;
     /// assert_eq!(logits.dims(), &[4, 18]);
-    /// // Identical to the stateful forward pass, bit for bit.
-    /// assert_eq!(logits, net.forward(&batch, false)?);
+    /// // Identical to the layer-by-layer walk, bit for bit.
+    /// assert_eq!(logits, net.activation(&batch, net.len() - 1)?);
     /// # Ok::<(), blurnet_nn::NnError>(())
     /// ```
     ///
@@ -129,7 +105,7 @@ impl Sequential {
     }
 
     /// Class predictions (argmax of the logits) for a batch through the
-    /// batch-parallel inference path, without mutating the network.
+    /// batch-parallel inference path.
     ///
     /// # Errors
     ///
@@ -139,16 +115,16 @@ impl Sequential {
     }
 
     /// Gradient of `grad_output` with respect to the network input over an
-    /// `[N, ...]` batch, computed **immutably** through the batched
-    /// gradient engine: a recorded forward pass (per-layer tapes owned by
-    /// the workers, not the network) followed by a tape-driven backward,
-    /// sharded across rayon workers like [`Sequential::forward_batch`].
+    /// `[N, ...]` batch, computed through the batched gradient engine: a
+    /// recorded forward pass (per-layer tapes owned by the workers, not
+    /// the network) followed by a tape-driven backward, sharded across
+    /// rayon workers like [`Sequential::forward_batch`].
     ///
-    /// No layer caches are written and no parameter gradients are
-    /// accumulated — this is the attack-generation backward. The result is
-    /// bit-identical at every `RAYON_NUM_THREADS` setting and matches a
-    /// per-image [`Sequential::forward`] + [`Sequential::backward`] loop
-    /// over the same rows (pinned by `tests/input_grad_batch.rs`).
+    /// No parameter gradients are computed — this is the attack-generation
+    /// backward. The result is bit-identical at every `RAYON_NUM_THREADS`
+    /// setting and matches the training backward
+    /// ([`BatchEngine::forward_backward_params`]) run image by image
+    /// (pinned by `tests/input_grad_batch.rs`).
     ///
     /// This builds a fresh [`BatchEngine`] per call; gradient loops (PGD
     /// steps, RP2 iterations) should hold a [`Sequential::batch_engine`]
@@ -175,117 +151,49 @@ impl Sequential {
         BatchEngine::new(self)
     }
 
-    /// Runs the network and returns the final output together with the
-    /// activation after every layer (`activations[i]` is layer `i`'s
-    /// output).
+    /// The activation after layer `index` (`layers[..=index]` applied to
+    /// `input`), walking each layer's [`Layer::infer`] over the whole
+    /// batch. `index = len - 1` gives the logits.
     ///
     /// # Errors
     ///
-    /// Propagates layer errors.
-    pub fn forward_collect(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-    ) -> Result<(Tensor, Vec<Tensor>)> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("network has no layers".into()));
+    /// Returns [`NnError::BadConfig`] for an out-of-range index, and
+    /// propagates layer errors.
+    pub fn activation(&self, input: &Tensor, index: usize) -> Result<Tensor> {
+        if index >= self.layers.len() {
+            return Err(NnError::BadConfig(format!(
+                "layer index {index} out of range for {} layers",
+                self.layers.len()
+            )));
         }
-        let mut activations: Vec<Tensor> = Vec::with_capacity(self.layers.len());
-        for layer in &mut self.layers {
-            let out = match activations.last() {
-                None => layer.forward(input, train)?,
-                Some(prev) => layer.forward(prev, train)?,
-            };
-            activations.push(out);
+        let mut scratch = Scratch::new();
+        let mut x = self.layers[0].infer(input, &mut scratch)?;
+        for layer in &self.layers[1..=index] {
+            x = layer.infer(&x, &mut scratch)?;
         }
-        let output = activations
-            .last()
-            .expect("non-empty network produced an output")
-            .clone();
-        Ok((output, activations))
+        Ok(x)
     }
 
-    /// Back-propagates `grad_output` through the whole network, accumulating
-    /// parameter gradients and returning the gradient with respect to the
-    /// network input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `forward` has not been called or shapes mismatch.
-    pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward_with_injection(grad_output, &[])
+    /// Every trainable parameter, layer by layer in [`Layer::params`]
+    /// order — the order of [`crate::GradBatch::param_grads`].
+    pub fn params(&self) -> Vec<&Tensor> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    /// Like [`Sequential::backward`], but adds `injection` gradients at the
-    /// *output* of the named layers while the gradient flows backwards.
-    ///
-    /// `injections` maps a layer index `i` to an extra gradient with the
-    /// same shape as layer `i`'s output. This realizes loss terms of the
-    /// form `R(F_i)` where `F_i` is an intermediate activation: pass
-    /// `dR/dF_i` here and the chain rule does the rest.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range indices, shape mismatches, or a
-    /// missing forward pass.
-    pub fn backward_with_injection(
-        &mut self,
-        grad_output: &Tensor,
-        injections: &[(usize, Tensor)],
-    ) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::BadConfig("network has no layers".into()));
-        }
-        for (idx, _) in injections {
-            if *idx >= self.layers.len() {
-                return Err(NnError::BadConfig(format!(
-                    "injection index {idx} out of range for {} layers",
-                    self.layers.len()
-                )));
-            }
-        }
-        let mut grad = grad_output.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            // Extra gradient arriving directly at this layer's output.
-            for (idx, extra) in injections {
-                if *idx == i {
-                    grad.add_scaled(extra, 1.0)?;
-                }
-            }
-            grad = layer.backward(&grad)?;
-        }
-        Ok(grad)
-    }
-
-    /// Flattened `(parameter, gradient)` pairs across every layer, in a
-    /// stable order suitable for [`crate::Optimizer::step`].
-    pub fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    /// Mutable access to every trainable parameter, in
+    /// [`Sequential::params`] order: zip it with
+    /// [`crate::GradBatch::param_grads`] to build the pairs an
+    /// [`crate::Optimizer::step`] takes.
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.param_grad_pairs())
+            .flat_map(|l| l.params_mut())
             .collect()
-    }
-
-    /// Clears the accumulated gradients of every layer.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
     }
 
     /// Total number of trainable scalar parameters.
     pub fn parameter_count(&self) -> usize {
         self.layers.iter().map(|l| l.parameter_count()).sum()
-    }
-
-    /// Class predictions (argmax of the logits) for a batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass errors.
-    pub fn predict(&mut self, input: &Tensor) -> Result<Vec<usize>> {
-        let logits = self.forward(input, false)?;
-        loss::predictions(&logits)
     }
 
     /// Serializes the network (architecture and weights) to JSON bytes.
@@ -310,7 +218,7 @@ impl Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
+    use crate::{Conv2d, Dense, Flatten, MaxPool2d, Relu, ShardGrad};
     use blurnet_tensor::ConvSpec;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -325,35 +233,48 @@ mod tests {
         net
     }
 
-    #[test]
-    fn forward_and_predict_shapes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut net = tiny_net(&mut rng);
-        let x = Tensor::zeros(&[4, 1, 8, 8]);
-        let y = net.forward(&x, false).unwrap();
-        assert_eq!(y.dims(), &[4, 3]);
-        assert_eq!(net.predict(&x).unwrap().len(), 4);
-        assert!(net.parameter_count() > 0);
+    /// A shard gradient with no injection and no weight-only term.
+    fn plain(d_logits: Tensor, loss: f32) -> ShardGrad {
+        ShardGrad {
+            d_logits,
+            injection: None,
+            weight_grad: None,
+            loss,
+        }
     }
 
     #[test]
-    fn forward_collect_returns_every_activation() {
+    fn forward_and_predict_shapes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let net = tiny_net(&mut rng);
+        let x = Tensor::zeros(&[4, 1, 8, 8]);
+        let y = net.forward_batch(&x).unwrap();
+        assert_eq!(y.dims(), &[4, 3]);
+        assert_eq!(net.predict_batch(&x).unwrap().len(), 4);
+        assert!(net.parameter_count() > 0);
+        assert_eq!(net.params().len(), 4);
+    }
+
+    #[test]
+    fn activation_returns_each_layer_output() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut net = tiny_net(&mut rng);
-        let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let (out, acts) = net.forward_collect(&x, false).unwrap();
-        assert_eq!(acts.len(), net.len());
-        assert_eq!(acts[0].dims(), &[1, 2, 8, 8]);
-        assert_eq!(acts.last().unwrap().dims(), out.dims());
+        let net = tiny_net(&mut rng);
+        let x = Tensor::rand_uniform(&[2, 1, 8, 8], -1.0, 1.0, &mut rng);
+        assert_eq!(net.activation(&x, 0).unwrap().dims(), &[2, 2, 8, 8]);
+        assert_eq!(net.activation(&x, 2).unwrap().dims(), &[2, 2, 4, 4]);
+        assert_eq!(
+            net.activation(&x, net.len() - 1).unwrap(),
+            net.forward_batch(&x).unwrap()
+        );
+        assert!(net.activation(&x, net.len()).is_err());
     }
 
     #[test]
     fn backward_returns_input_gradient() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[2, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let y = net.forward(&x, true).unwrap();
-        let d_input = net.backward(&Tensor::ones(y.dims())).unwrap();
+        let d_input = net.input_grad_batch(&x, &Tensor::ones(&[2, 3])).unwrap();
         assert_eq!(d_input.dims(), x.dims());
         assert!(d_input.l1_norm() > 0.0);
     }
@@ -361,10 +282,9 @@ mod tests {
     #[test]
     fn whole_network_input_gradient_matches_finite_difference() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let y = net.forward(&x, true).unwrap();
-        let d_input = net.backward(&Tensor::ones(y.dims())).unwrap();
+        let d_input = net.input_grad_batch(&x, &Tensor::ones(&[1, 3])).unwrap();
         // eps must stay small: at 1e-2 the central difference for this seed
         // steps across a max-pool argmax flip at index 0 and reads exactly
         // twice the true slope (at 1e-3 it matches the analytic gradient to
@@ -375,8 +295,8 @@ mod tests {
             plus.data_mut()[idx] += eps;
             let mut minus = x.clone();
             minus.data_mut()[idx] -= eps;
-            let f_plus = net.forward(&plus, false).unwrap().sum();
-            let f_minus = net.forward(&minus, false).unwrap().sum();
+            let f_plus = net.forward_batch(&plus).unwrap().sum();
+            let f_minus = net.forward_batch(&minus).unwrap().sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             // Max-pool argmax ties make this an approximate check.
             assert!(
@@ -390,46 +310,52 @@ mod tests {
     #[test]
     fn injection_changes_first_layer_gradients() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
+        let engine = net.batch_engine().unwrap();
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
 
-        let y = net.forward(&x, true).unwrap();
-        net.zero_grads();
-        net.backward(&Tensor::zeros(y.dims())).unwrap();
-        let baseline: f32 = net.param_grad_pairs()[0].1.l1_norm();
-        assert_eq!(baseline, 0.0);
+        let baseline = engine
+            .forward_backward_params(&x, None, |_, logits, _| {
+                Ok(plain(Tensor::zeros(logits.dims()), 0.0))
+            })
+            .unwrap();
+        assert_eq!(baseline.param_grads.len(), net.params().len());
+        assert_eq!(baseline.param_grads[0].l1_norm(), 0.0);
 
         // Injecting gradient at the conv output (layer 0) with a zero loss
         // gradient must still produce conv weight gradients.
-        net.forward(&x, true).unwrap();
-        net.zero_grads();
-        let injection = Tensor::ones(&[1, 2, 8, 8]);
-        net.backward_with_injection(&Tensor::zeros(y.dims()), &[(0, injection)])
+        let injected = engine
+            .forward_backward_params(&x, Some(0), |_, logits, feature| {
+                Ok(ShardGrad {
+                    injection: Some(Tensor::ones(feature.unwrap().dims())),
+                    ..plain(Tensor::zeros(logits.dims()), 0.0)
+                })
+            })
             .unwrap();
-        let with_injection: f32 = net.param_grad_pairs()[0].1.l1_norm();
-        assert!(with_injection > 0.0);
+        assert!(injected.param_grads[0].l1_norm() > 0.0);
     }
 
     #[test]
     fn injection_index_validation() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
+        let engine = net.batch_engine().unwrap();
         let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let y = net.forward(&x, true).unwrap();
-        let err =
-            net.backward_with_injection(&Tensor::zeros(y.dims()), &[(99, Tensor::zeros(&[1]))]);
+        let err = engine.forward_backward_params(&x, Some(99), |_, logits, _| {
+            Ok(plain(Tensor::zeros(logits.dims()), 0.0))
+        });
         assert!(err.is_err());
     }
 
     #[test]
     fn serialization_roundtrip_preserves_outputs() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let mut net = tiny_net(&mut rng);
+        let net = tiny_net(&mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let y1 = net.forward(&x, false).unwrap();
+        let y1 = net.forward_batch(&x).unwrap();
         let bytes = net.to_bytes().unwrap();
-        let mut restored = Sequential::from_bytes(&bytes).unwrap();
-        let y2 = restored.forward(&x, false).unwrap();
+        let restored = Sequential::from_bytes(&bytes).unwrap();
+        let y2 = restored.forward_batch(&x).unwrap();
         for (a, b) in y1.data().iter().zip(y2.data().iter()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -438,9 +364,12 @@ mod tests {
 
     #[test]
     fn empty_network_is_an_error() {
-        let mut net = Sequential::new();
-        assert!(net.forward(&Tensor::zeros(&[1, 1, 4, 4]), false).is_err());
-        assert!(net.backward(&Tensor::zeros(&[1, 3])).is_err());
+        let net = Sequential::new();
+        assert!(net.forward_batch(&Tensor::zeros(&[1, 1, 4, 4])).is_err());
+        assert!(net
+            .input_grad_batch(&Tensor::zeros(&[1, 1, 4, 4]), &Tensor::zeros(&[1, 3]))
+            .is_err());
+        assert!(net.activation(&Tensor::zeros(&[1, 1, 4, 4]), 0).is_err());
         assert!(net.is_empty());
     }
 
@@ -460,19 +389,27 @@ mod tests {
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..60 {
-            let logits = net.forward(&x, true).unwrap();
-            let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.zero_grads();
-            net.backward(&grad).unwrap();
-            let mut pairs = net.param_grad_pairs();
+            let step = net
+                .batch_engine()
+                .unwrap()
+                .forward_backward_params(&x, None, |_, logits, _| {
+                    let (loss, d_logits) = softmax_cross_entropy(logits, &labels)?;
+                    Ok(plain(d_logits, loss))
+                })
+                .unwrap();
+            let mut pairs: Vec<_> = net
+                .params_mut()
+                .into_iter()
+                .zip(&step.param_grads)
+                .collect();
             adam.step(&mut pairs).unwrap();
+            let loss = step.shard_losses[0];
             if first_loss.is_none() {
                 first_loss = Some(loss);
             }
             last_loss = loss;
         }
         assert!(last_loss < 0.5 * first_loss.unwrap());
-        let logits = net.forward(&x, false).unwrap();
-        assert_eq!(crate::loss::predictions(&logits).unwrap(), vec![0, 1]);
+        assert_eq!(net.predict_batch(&x).unwrap(), vec![0, 1]);
     }
 }

@@ -21,11 +21,10 @@
 //! | 5 | [`Flatten`] | — |
 //! | 6 | [`Dense`] | weight, bias |
 //!
-//! Only trained state is persisted: gradient accumulators and forward
-//! caches are rebuilt as zeros/empty on load (the `from_parts`
-//! constructors), which is exactly the state a freshly trained network is
-//! in after `zero_grads` — so save→load→infer is **bit-identical** to
-//! inferring with the original network.
+//! Parameters are a layer's whole state — gradient accumulators and
+//! backward records live with the caller of each pass, never in a layer —
+//! so the `from_parts` constructors rebuild exactly the trained network and
+//! save→load→infer is **bit-identical** to inferring with the original.
 
 use blurnet_tensor::persist::{put_u64, read_tensor, write_tensor, ByteReader};
 use blurnet_tensor::{ConvSpec, TensorError};

@@ -1,6 +1,6 @@
 //! 2-D max-pooling layer.
 
-use blurnet_tensor::{default_backend, PoolSpec, Scratch, Tensor};
+use blurnet_tensor::{PoolSpec, Scratch, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::{Layer, NnError, Result, TapeSlot};
@@ -9,8 +9,6 @@ use crate::{Layer, NnError, Result, TapeSlot};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MaxPool2d {
     spec: PoolSpec,
-    #[serde(skip)]
-    cache: Option<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
@@ -22,7 +20,7 @@ impl MaxPool2d {
     pub fn new(window: usize, stride: usize) -> Result<Self> {
         let spec = PoolSpec::new(window, stride)
             .map_err(|e| NnError::BadConfig(format!("invalid pool spec: {e}")))?;
-        Ok(MaxPool2d { spec, cache: None })
+        Ok(MaxPool2d { spec })
     }
 
     /// The pooling spec.
@@ -34,13 +32,6 @@ impl MaxPool2d {
 impl Layer for MaxPool2d {
     fn name(&self) -> &'static str {
         "max_pool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let pooled = default_backend().max_pool2d(input, self.spec)?;
-        // Move the argmax table into the cache instead of cloning it.
-        self.cache = Some((pooled.argmax, input.dims().to_vec()));
-        Ok(pooled.output)
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor> {
@@ -76,23 +67,9 @@ impl Layer for MaxPool2d {
             .max_pool2d_backward(grad_output, argmax, input_dims)?)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let (argmax, dims) = self
-            .cache
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache(self.name().to_string()))?;
-        Ok(default_backend().max_pool2d_backward(grad_output, argmax, dims)?)
-    }
-
-    fn param_grad_pairs(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        Vec::new()
-    }
-
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
     }
-
-    fn zero_grads(&mut self) {}
 }
 
 #[cfg(test)]
@@ -101,11 +78,17 @@ mod tests {
 
     #[test]
     fn forward_backward_roundtrip() {
-        let mut pool = MaxPool2d::new(2, 2).unwrap();
+        let pool = MaxPool2d::new(2, 2).unwrap();
+        let mut scratch = Scratch::new();
+        let mut tape = TapeSlot::Empty;
         let input = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let out = pool.forward(&input, true).unwrap();
+        let out = pool
+            .infer_recording(&input, &mut tape, &mut scratch)
+            .unwrap();
         assert_eq!(out.dims(), &[1, 1, 2, 2]);
-        let d_input = pool.backward(&Tensor::ones(out.dims())).unwrap();
+        let d_input = pool
+            .input_grad(&tape, &Tensor::ones(out.dims()), &mut scratch)
+            .unwrap();
         assert_eq!(d_input.dims(), input.dims());
         assert_eq!(d_input.sum(), 4.0);
     }
@@ -113,7 +96,13 @@ mod tests {
     #[test]
     fn invalid_spec_rejected() {
         assert!(MaxPool2d::new(0, 2).is_err());
-        let mut pool = MaxPool2d::new(2, 2).unwrap();
-        assert!(pool.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        let pool = MaxPool2d::new(2, 2).unwrap();
+        assert!(pool
+            .input_grad(
+                &TapeSlot::Empty,
+                &Tensor::zeros(&[1, 1, 2, 2]),
+                &mut Scratch::new()
+            )
+            .is_err());
     }
 }

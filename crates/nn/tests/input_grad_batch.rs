@@ -1,14 +1,16 @@
-//! Property tests pinning the batched gradient engine to the per-image
-//! mutable backward path.
+//! Property tests pinning the batched attack gradient to the per-image
+//! training backward.
 //!
 //! The contract under test (see `engine.rs`): `input_grad_batch` is
 //! **bit-identical across thread counts** — the shard partition depends
-//! only on the batch size — and agrees with the per-image stateful
-//! `forward(train)` + `backward` reference to ≤ 1e-6 per element (in
-//! practice the two paths share every kernel and accumulation order, so
-//! they are bitwise equal; the tolerance is the acceptance criterion).
+//! only on the batch size — and agrees with the training pass
+//! (`forward_backward_params`, whose backward runs the full conv and
+//! depthwise backward kernels) run image by image to ≤ 1e-6 per element
+//! (in practice the input-gradient kernels keep the full backward's
+//! accumulation order, so they are bitwise equal; the tolerance is the
+//! acceptance criterion).
 
-use blurnet_nn::Sequential;
+use blurnet_nn::{GradBatch, Sequential, ShardGrad};
 use blurnet_tensor::Tensor;
 use blurnet_test_support::{tiny_lisa_net, uniform_batch};
 use proptest::prelude::*;
@@ -18,16 +20,30 @@ const BATCH_SIZES: [usize; 3] = [1, 3, 8];
 /// Thread counts the acceptance criteria name explicitly.
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// Per-image mutable reference: forward each image alone with the caching
-/// path, back-propagate its grad_output row, stack the input gradients.
-fn per_image_backward(net: &mut Sequential, batch: &Tensor, grad_output: &Tensor) -> Tensor {
+/// The training pass over `image` with a fixed logit gradient.
+fn training_pass(net: &Sequential, image: &Tensor, d_logits: Tensor, loss: f32) -> GradBatch {
+    net.batch_engine()
+        .expect("engine builds")
+        .forward_backward_params(image, None, |_, _, _| {
+            Ok(ShardGrad {
+                d_logits,
+                injection: None,
+                weight_grad: None,
+                loss,
+            })
+        })
+        .expect("training pass")
+}
+
+/// Per-image training reference: run the training pass on each image
+/// alone with its grad_output row, stack the input gradients.
+fn per_image_backward(net: &Sequential, batch: &Tensor, grad_output: &Tensor) -> Tensor {
     let n = batch.dims()[0];
     let mut parts = Vec::with_capacity(n);
     for i in 0..n {
         let image = batch.batch_slice(i, 1).expect("index in range");
-        net.forward(&image, true).expect("forward succeeds");
         let row = grad_output.batch_slice(i, 1).expect("index in range");
-        parts.push(net.backward(&row).expect("backward succeeds"));
+        parts.push(training_pass(net, &image, row, 0.0).input_grad);
     }
     Tensor::concat_batch(&parts).expect("uniform gradient shapes")
 }
@@ -36,18 +52,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// input_grad_batch: bitwise equal across thread counts, ≤ 1e-6 vs the
-    /// per-image mutable backward, for every batch size.
+    /// per-image training backward, for every batch size.
     #[test]
-    fn input_grad_batch_matches_mutable_backward(
+    fn input_grad_batch_matches_training_backward(
         net_seed in 0u64..1000,
         data_seed in 0u64..1000,
     ) {
-        let mut net = tiny_lisa_net(net_seed);
+        let net = tiny_lisa_net(net_seed);
         for (offset, &batch_size) in BATCH_SIZES.iter().enumerate() {
             let case_seed = data_seed ^ (offset as u64) << 32;
             let batch = uniform_batch(&[batch_size, 3, 16, 16], 0.0, 1.0, case_seed);
             let grad_output = uniform_batch(&[batch_size, 18], -1.0, 1.0, !case_seed);
-            let reference = per_image_backward(&mut net, &batch, &grad_output);
+            let reference = per_image_backward(&net, &batch, &grad_output);
 
             let mut per_thread = Vec::new();
             for &threads in &THREAD_COUNTS {
@@ -69,7 +85,7 @@ proptest! {
                 THREAD_COUNTS
             );
             prop_assert_eq!(per_thread[0].dims(), reference.dims());
-            // ≤ 1e-6 vs the per-image mutable backward.
+            // ≤ 1e-6 vs the per-image training backward.
             for (i, (a, b)) in per_thread[0]
                 .data()
                 .iter()
@@ -78,7 +94,7 @@ proptest! {
             {
                 prop_assert!(
                     (a - b).abs() <= 1e-6,
-                    "batch {} element {}: batched {} vs mutable {}",
+                    "batch {} element {}: batched {} vs training {}",
                     batch_size,
                     i,
                     a,
@@ -88,11 +104,11 @@ proptest! {
         }
     }
 
-    /// The cross-entropy convenience wrapper agrees with composing the
-    /// stateful forward with softmax_cross_entropy per image.
+    /// The cross-entropy convenience wrapper agrees with the training pass
+    /// under softmax_cross_entropy, image by image.
     #[test]
     fn forward_backward_batch_matches_per_image_cross_entropy(seed in 0u64..1000) {
-        let mut net = tiny_lisa_net(seed);
+        let net = tiny_lisa_net(seed);
         let batch = uniform_batch(&[4, 3, 16, 16], 0.0, 1.0, seed ^ 0x5EED);
         let labels = [1usize, 5, 9, 17];
         let engine = net.batch_engine().expect("engine builds");
@@ -101,11 +117,11 @@ proptest! {
             .expect("forward_backward_batch");
         for i in 0..4 {
             let image = batch.batch_slice(i, 1).expect("index in range");
-            let logits = net.forward(&image, true).expect("forward succeeds");
+            let logits = net.forward_batch(&image).expect("forward succeeds");
             let (loss, d_logits) =
                 blurnet_nn::softmax_cross_entropy(&logits, &labels[i..i + 1])
                     .expect("cross entropy");
-            let reference = net.backward(&d_logits).expect("backward succeeds");
+            let reference = training_pass(&net, &image, d_logits, loss).input_grad;
             prop_assert!((got.shard_losses[i] - loss).abs() <= 1e-6);
             let row = got
                 .input_grad

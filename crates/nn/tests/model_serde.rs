@@ -25,14 +25,15 @@ proptest! {
         net_seed in 0u64..1000,
         data_seed in 0u64..1000,
     ) {
-        let mut net = tiny_lisa_net(net_seed);
-        let mut restored =
+        let net = tiny_lisa_net(net_seed);
+        let restored =
             sequential_from_bytes(&sequential_to_bytes(&net)).expect("roundtrip decodes");
         prop_assert_eq!(restored.len(), net.len());
 
         let image = uniform_batch(&[1, 3, 16, 16], 0.0, 1.0, data_seed);
-        let a = net.forward(&image, false).expect("original forward");
-        let b = restored.forward(&image, false).expect("restored forward");
+        let last = net.len() - 1;
+        let a = net.activation(&image, last).expect("original forward");
+        let b = restored.activation(&image, last).expect("restored forward");
         prop_assert_eq!(a.data(), b.data(), "per-sample logits diverged");
 
         let batch = uniform_batch(&[5, 3, 16, 16], 0.0, 1.0, data_seed ^ 0xF00D);
