@@ -58,6 +58,7 @@
 //! from whatever worker it lands on. Anything mutable (smoothing RNGs,
 //! gradient accumulators) lives outside the engine.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use blurnet_tensor::{default_backend, Backend, PackedConvWeights, Scratch, Tensor};
@@ -279,7 +280,9 @@ impl<'n> BatchEngine<'n> {
     /// backward needs into `tapes` (resized to the network depth), and
     /// optionally cloning out the activation after layer `feature_layer`.
     /// With `keep_inputs`, layers with parameters record their forward
-    /// input instead, for [`Layer::param_grad`].
+    /// input instead, for [`Layer::param_grad`]. Every slot is overwritten
+    /// in place, so a reused tape frees the previous pass's records one by
+    /// one as the new ones replace them.
     fn infer_shard_recorded(
         &self,
         shard: &Tensor,
@@ -288,7 +291,6 @@ impl<'n> BatchEngine<'n> {
         tapes: &mut Vec<TapeSlot>,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, Option<Tensor>)> {
-        tapes.clear();
         tapes.resize_with(self.layers.len(), TapeSlot::default);
         let mut feature = None;
         let mut x: Option<Tensor> = None;
@@ -311,6 +313,8 @@ impl<'n> BatchEngine<'n> {
                     layer.check_input(input)?;
                     let mut out = self.backend.matmul(input, weight_t)?;
                     layer.add_bias(&mut out);
+                    // `dx = g · W` needs no forward state.
+                    tapes[i] = TapeSlot::Empty;
                     out
                 }
                 EngineLayer::Plain(kind) => kind.infer_recording(input, &mut tapes[i], scratch)?,
@@ -536,6 +540,14 @@ impl<'n> BatchEngine<'n> {
     where
         F: FnOnce(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad>,
     {
+        // The calling thread keeps its training tape from one step to the
+        // next. Dropping a whole step's records at once lets the allocator
+        // trim the heap top every step; a smoke-scale training run then
+        // takes about 9k minor page faults and ~15% more time than with the
+        // records replaced slot by slot.
+        thread_local! {
+            static TRAINING_TAPE: RefCell<Vec<TapeSlot>> = const { RefCell::new(Vec::new()) };
+        }
         self.check_backward_args(input, feature_layer)?;
         let mut param_grads: Vec<Tensor> = self
             .layers
@@ -543,15 +555,20 @@ impl<'n> BatchEngine<'n> {
             .flat_map(|l| l.layer().params())
             .map(|p| Tensor::zeros(p.dims()))
             .collect();
-        let (logits, input_grad, loss) = self.run_shard_backward(
+        // Taken out for the pass, so a `grad_fn` that trains on this
+        // thread again finds an empty tape instead of a borrowed one.
+        let mut tapes = TRAINING_TAPE.with(|t| t.take());
+        let result = self.run_shard_backward(
             input,
             0,
             feature_layer,
             grad_fn,
             Some(&mut param_grads),
-            &mut Vec::new(),
+            &mut tapes,
             &mut Scratch::with_backend(self.backend()),
-        )?;
+        );
+        TRAINING_TAPE.with(|t| t.replace(tapes));
+        let (logits, input_grad, loss) = result?;
         Ok(GradBatch {
             logits,
             input_grad,
