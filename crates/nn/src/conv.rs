@@ -180,7 +180,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     /// Zeroed accumulators for every parameter of `layer`.
-    fn zero_grads(layer: &Conv2d) -> Vec<Tensor> {
+    fn zeroed_accumulators(layer: &Conv2d) -> Vec<Tensor> {
         layer
             .params()
             .iter()
@@ -203,7 +203,7 @@ mod tests {
         let d_input = conv.input_grad(&tape, &g, &mut scratch).unwrap();
         assert_eq!(d_input.dims(), input.dims());
         // The parameter backward returns the same input gradient.
-        let mut grads = zero_grads(&conv);
+        let mut grads = zeroed_accumulators(&conv);
         let d_full = conv
             .param_grad(&input, &g, &mut grads, &mut scratch)
             .unwrap();
@@ -231,7 +231,7 @@ mod tests {
         let input = Tensor::ones(&[1, 1, 4, 4]);
         let g = Tensor::ones(&[1, 2, 4, 4]);
         let mut scratch = Scratch::new();
-        let mut grads = zero_grads(&conv);
+        let mut grads = zeroed_accumulators(&conv);
         conv.param_grad(&input, &g, &mut grads, &mut scratch)
             .unwrap();
         let first: f32 = grads[0].l1_norm();
@@ -241,7 +241,7 @@ mod tests {
         let doubled: f32 = grads[0].l1_norm();
         assert!((doubled - 2.0 * first).abs() < 1e-3);
         // A fresh set of accumulators starts from zero again.
-        assert_eq!(zero_grads(&conv)[0].l1_norm(), 0.0);
+        assert_eq!(zeroed_accumulators(&conv)[0].l1_norm(), 0.0);
         // The accumulator count must match the parameter count.
         assert!(matches!(
             conv.param_grad(&input, &g, &mut grads[..1], &mut scratch),
