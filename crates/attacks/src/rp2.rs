@@ -260,7 +260,6 @@ impl Rp2Attack {
                     Ok(ShardGrad {
                         d_logits,
                         injection,
-                        weight_grad: None,
                         loss: ce_loss + penalty_value,
                     })
                 })?;

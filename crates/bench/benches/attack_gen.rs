@@ -55,12 +55,11 @@ fn pgd_per_image(net: &Sequential, image: &Tensor, label: usize, config: &PgdCon
     for _ in 0..config.steps {
         let batch = Tensor::stack(std::slice::from_ref(&x_adv)).unwrap();
         let step = engine
-            .forward_backward_params(&batch, None, |_, logits, _| {
+            .forward_backward_params(&batch, None, &mut Vec::new(), |_, logits, _| {
                 let (loss, d_logits) = softmax_cross_entropy(logits, &[label])?;
                 Ok(ShardGrad {
                     d_logits,
                     injection: None,
-                    weight_grad: None,
                     loss,
                 })
             })

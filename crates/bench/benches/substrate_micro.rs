@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use blurnet_bench::{host_entries, BENCH_THREAD_COUNTS};
-use blurnet_nn::{BatchEngine, GradBatch, LisaCnn, ShardGrad};
+use blurnet_nn::{BatchEngine, GradBatch, LisaCnn, ShardGrad, TapeSlot};
 use blurnet_signal::{
     blur_batch, blur_batch_2d, box_kernel, dct2d, depthwise_weights, fft2d_magnitude,
     total_variation_batch, OperatorPenalty,
@@ -35,14 +35,14 @@ use serde::Value;
 
 /// One training pass (forward, then the backward with parameter
 /// gradients) over the whole batch, backpropagating all-ones logit
-/// gradients.
-fn training_pass(engine: &BatchEngine<'_>, batch: &Tensor) -> GradBatch {
+/// gradients. `tape` is reused across calls, as a trainer reuses it
+/// across steps.
+fn training_pass(engine: &BatchEngine<'_>, batch: &Tensor, tape: &mut Vec<TapeSlot>) -> GradBatch {
     engine
-        .forward_backward_params(batch, None, |_, logits, _| {
+        .forward_backward_params(batch, None, tape, |_, logits, _| {
             Ok(ShardGrad {
                 d_logits: Tensor::ones(logits.dims()),
                 injection: None,
-                weight_grad: None,
                 loss: 0.0,
             })
         })
@@ -272,13 +272,14 @@ fn write_bench_json() {
     let net = LisaCnn::new(18).build(&mut rng).expect("default LisaCnn");
     let engine = net.batch_engine().expect("engine builds");
     let batch = Tensor::rand_uniform(&[4, 3, 32, 32], 0.0, 1.0, &mut rng);
+    let mut tape = Vec::new();
     record.push(
         "lisacnn_forward_batch4",
         median_ns(|| engine.forward(&batch).unwrap()),
     );
     record.push(
         "lisacnn_forward_backward_batch4",
-        median_ns(|| training_pass(&engine, &batch)),
+        median_ns(|| training_pass(&engine, &batch, &mut tape)),
     );
 
     // Multi-core sweep on representative probes (one per substrate
@@ -394,6 +395,7 @@ fn bench_substrates(c: &mut Criterion) {
     let net = LisaCnn::new(18).build(&mut rng).unwrap();
     let engine = net.batch_engine().unwrap();
     let batch = Tensor::rand_uniform(&[4, 3, 32, 32], 0.0, 1.0, &mut rng);
+    let mut tape = Vec::new();
     // The batch-parallel inference engine: packed weights reused across
     // calls, batch sharded over rayon. The full thread-scaling sweep lives
     // in the `batch_engine` bench (BENCH_batch.json).
@@ -404,7 +406,7 @@ fn bench_substrates(c: &mut Criterion) {
         bench.iter(|| net.forward_batch(&batch).unwrap());
     });
     group.bench_function("lisacnn_forward_backward_batch4", |bench| {
-        bench.iter(|| training_pass(&engine, &batch));
+        bench.iter(|| training_pass(&engine, &batch, &mut tape));
     });
     group.finish();
 }

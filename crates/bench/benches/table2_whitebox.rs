@@ -40,12 +40,14 @@ fn bench_table2(c: &mut Criterion) {
     let mut adam = Adam::new(1e-3).unwrap();
     let mut rng2 = ChaCha8Rng::seed_from_u64(3);
     let batch = data.train_batches(8, &mut rng2).unwrap().remove(0);
+    let mut tape = Vec::new();
     group.bench_function("tv_regularized_training_step", |b| {
         b.iter(|| {
             train_step(
                 &mut net,
                 &regularizer,
                 &mut adam,
+                &mut tape,
                 &batch.images,
                 &batch.labels,
             )

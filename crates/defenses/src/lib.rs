@@ -42,7 +42,9 @@ pub use model::{DefendedModel, TrainingReport, SMOOTHING_SEED};
 pub use persist::{model_from_bytes, model_to_bytes};
 pub use regularizers::{FeatureRegularizer, RegularizerTerm};
 pub use smoothing::smoothed_predict;
-pub use trainer::{build_architecture, train_defended_model, train_step, TrainConfig};
+pub use trainer::{
+    build_architecture, train_defended_model, train_step, training_gradients, TrainConfig,
+};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, DefenseError>;

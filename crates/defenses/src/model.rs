@@ -2,6 +2,7 @@
 
 use blurnet_attacks::Classifier;
 use blurnet_data::Batch;
+use blurnet_nn::loss::predictions;
 use blurnet_nn::{LisaCnnConfig, Sequential};
 use blurnet_tensor::Tensor;
 use rand::{RngCore, SeedableRng};
@@ -168,8 +169,11 @@ impl DefendedModel {
                 smoothed_predict(&self.net, &image, *sigma, *samples, &mut self.smoothing_rng)
             }
             _ => {
+                // One image: walk the layers directly rather than build
+                // (and pack the weights of) a batch engine.
                 let batch = Tensor::stack(&[image])?;
-                Ok(self.net.predict_batch(&batch)?[0])
+                let logits = self.net.activation(&batch, self.net.len() - 1)?;
+                Ok(predictions(&logits)?[0])
             }
         }
     }

@@ -152,8 +152,8 @@ impl FeatureRegularizer {
     }
 }
 
-/// One step's evaluated regularizer: its value and where its gradient
-/// enters the backward pass (the fields of a [`blurnet_nn::ShardGrad`]).
+/// One step's evaluated regularizer: its value and its gradient, either
+/// at the feature layer's output or at one layer's weight.
 #[derive(Debug, Default)]
 pub struct RegularizerTerm {
     /// The penalty value, already scaled by α.
@@ -174,7 +174,8 @@ fn collected(feature: Option<&Tensor>, index: usize) -> Result<&Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blurnet_nn::{LisaCnn, ShardGrad};
+    use crate::training_gradients;
+    use blurnet_nn::LisaCnn;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -265,31 +266,31 @@ mod tests {
         let term = reg.apply(&net, None).unwrap();
         assert!(term.value > 0.0);
         assert!(term.injection.is_none());
-        // Through a training pass with a zero loss gradient, the
-        // depthwise layer's weight gradient is exactly the L∞ term.
         let layer_index = builder.config().filter_layer_index().unwrap();
         let (layer, linf) = term.weight_grad.expect("L∞ is a weight gradient");
         assert_eq!(layer, layer_index);
-        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let step = net
-            .batch_engine()
-            .unwrap()
-            .forward_backward_params(&x, None, |_, logits, _| {
-                Ok(ShardGrad {
-                    d_logits: Tensor::zeros(logits.dims()),
-                    injection: None,
-                    weight_grad: Some((layer, linf.clone())),
-                    loss: 0.0,
-                })
-            })
-            .unwrap();
+        assert!(linf.l1_norm() > 0.0);
+        // A training step adds the L∞ term to the depthwise weight
+        // gradient (after conv1's weight and bias in params order) and
+        // leaves every other gradient alone.
+        let x = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
+        let labels = [1usize, 5];
+        let (plain_loss, mut expected) = training_gradients(
+            &net,
+            &FeatureRegularizer::None,
+            &mut Vec::new(),
+            &x,
+            &labels,
+        )
+        .unwrap();
+        let (loss, grads) = training_gradients(&net, &reg, &mut Vec::new(), &x, &labels).unwrap();
+        assert_eq!(loss, plain_loss + term.value);
         let LayerKind::Depthwise(dw) = net.layer(layer_index).unwrap() else {
             panic!("expected depthwise layer");
         };
-        // conv1 weight and bias come first in params order.
-        assert_eq!(step.param_grads[2].dims(), dw.weight().dims());
-        assert_eq!(step.param_grads[2], linf);
-        assert!(step.param_grads[2].l1_norm() > 0.0);
+        assert_eq!(grads[2].dims(), dw.weight().dims());
+        expected[2].add_scaled(&linf, 1.0).unwrap();
+        assert_eq!(grads, expected);
     }
 
     #[test]
@@ -324,18 +325,7 @@ mod tests {
         assert!(reg.apply(&net, None).is_err());
         // The training pass rejects the out-of-range feature layer itself.
         let x = Tensor::zeros(&[1, 3, 16, 16]);
-        assert!(net
-            .batch_engine()
-            .unwrap()
-            .forward_backward_params(&x, reg.feature_layer(), |_, logits, _| {
-                Ok(ShardGrad {
-                    d_logits: Tensor::zeros(logits.dims()),
-                    injection: None,
-                    weight_grad: None,
-                    loss: 0.0,
-                })
-            })
-            .is_err());
+        assert!(training_gradients(&net, &reg, &mut Vec::new(), &x, &[0]).is_err());
         let reg = FeatureRegularizer::LinfDepthwise {
             alpha: 1.0,
             layer_index: 0,

@@ -11,7 +11,8 @@
 use blurnet_attacks::{PgdAttack, PgdConfig};
 use blurnet_data::SignDataset;
 use blurnet_nn::{
-    softmax_cross_entropy, Adam, LisaCnn, LisaCnnConfig, NnError, Optimizer, Sequential, ShardGrad,
+    softmax_cross_entropy, Adam, Layer, LisaCnn, LisaCnnConfig, NnError, Optimizer, Sequential,
+    ShardGrad, TapeSlot,
 };
 use blurnet_signal::box_kernel;
 use blurnet_tensor::Tensor;
@@ -141,6 +142,8 @@ pub fn train_defended_model(
         _ => None,
     };
 
+    // One training tape for the whole run: each step overwrites it.
+    let mut tape = Vec::new();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
     for _epoch in 0..config.epochs {
         let mut epoch_loss = 0.0f32;
@@ -159,6 +162,7 @@ pub fn train_defended_model(
                 &mut net,
                 &regularizer,
                 &mut optimizer,
+                &mut tape,
                 &images,
                 &batch.labels,
             )?;
@@ -186,11 +190,11 @@ pub fn train_defended_model(
     ))
 }
 
-/// One optimizer step on a mini-batch: a single training pass through the
-/// batch engine (softmax cross-entropy plus the regularizer, whose feature
-/// gradient enters at its feature layer and whose weight gradient enters
-/// ahead of the backward's), then `optimizer` applies the parameter
-/// gradients. Returns the step's loss, cross-entropy plus penalty.
+/// One optimizer step on a mini-batch: [`training_gradients`], then
+/// `optimizer` applies them. `tape` holds the training pass's records;
+/// pass the same one to every step of a run (see
+/// [`blurnet_nn::BatchEngine::forward_backward_params`]). Returns the
+/// step's loss, cross-entropy plus penalty.
 ///
 /// # Errors
 ///
@@ -200,33 +204,62 @@ pub fn train_step<O: Optimizer + ?Sized>(
     net: &mut Sequential,
     regularizer: &FeatureRegularizer,
     optimizer: &mut O,
+    tape: &mut Vec<TapeSlot>,
     images: &Tensor,
     labels: &[usize],
 ) -> Result<f32> {
-    let frozen: &Sequential = net;
-    let step = frozen.batch_engine()?.forward_backward_params(
+    let (loss, grads) = training_gradients(net, regularizer, tape, images, labels)?;
+    let mut pairs: Vec<_> = net.params_mut().into_iter().zip(&grads).collect();
+    optimizer.step(&mut pairs)?;
+    Ok(loss)
+}
+
+/// The loss of one training step on a mini-batch (softmax cross-entropy
+/// plus the regularizer's penalty) and its gradient with respect to every
+/// parameter of `net`, in [`Sequential::params`] order. One training pass
+/// through the batch engine, with the regularizer's feature gradient
+/// injected at its feature layer; the L∞ term's weight gradient is then
+/// added to its layer's weight gradient.
+///
+/// # Errors
+///
+/// Returns an error if the batch does not fit the network, the labels do
+/// not match the batch, or the regularizer does not fit the network.
+pub fn training_gradients(
+    net: &Sequential,
+    regularizer: &FeatureRegularizer,
+    tape: &mut Vec<TapeSlot>,
+    images: &Tensor,
+    labels: &[usize],
+) -> Result<(f32, Vec<Tensor>)> {
+    let mut weight_grad = None;
+    let mut step = net.batch_engine()?.forward_backward_params(
         images,
         regularizer.feature_layer(),
+        tape,
         |_, logits, feature| {
             let (ce, d_logits) = softmax_cross_entropy(logits, labels)?;
             let term = regularizer
-                .apply(frozen, feature)
+                .apply(net, feature)
                 .map_err(|e| NnError::BadConfig(e.to_string()))?;
+            weight_grad = term.weight_grad;
             Ok(ShardGrad {
                 d_logits,
                 injection: term.injection,
-                weight_grad: term.weight_grad,
                 loss: ce + term.value,
             })
         },
     )?;
-    let mut pairs: Vec<_> = net
-        .params_mut()
-        .into_iter()
-        .zip(&step.param_grads)
-        .collect();
-    optimizer.step(&mut pairs)?;
-    Ok(step.shard_losses[0])
+    if let Some((layer, grad)) = weight_grad {
+        // A layer's weight is its first parameter.
+        let index = net
+            .iter()
+            .take(layer)
+            .map(|l| l.params().len())
+            .sum::<usize>();
+        step.param_grads[index].add_scaled(&grad, 1.0)?;
+    }
+    Ok((step.shard_losses[0], step.param_grads))
 }
 
 /// Applies the defense's training-time input pipeline to one batch.

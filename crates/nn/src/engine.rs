@@ -58,7 +58,6 @@
 //! from whatever worker it lands on. Anything mutable (smoothing RNGs,
 //! gradient accumulators) lives outside the engine.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use blurnet_tensor::{default_backend, Backend, PackedConvWeights, Scratch, Tensor};
@@ -111,11 +110,6 @@ pub struct ShardGrad {
     /// and Tikhonov training penalties, Eq. 4, 6–7). Ignored when no
     /// feature layer was requested.
     pub injection: Option<Tensor>,
-    /// Gradient of a weight-only loss term (the L∞ penalty of Eq. 2) with
-    /// respect to the weight of layer `.0`. It is added to that weight's
-    /// accumulator before the backward's `dW`. Only
-    /// [`BatchEngine::forward_backward_params`] reads it.
-    pub weight_grad: Option<(usize, Tensor)>,
     /// Scalar loss of this shard (diagnostics; the engine only forwards
     /// it into [`GradBatch::shard_losses`]).
     pub loss: f32,
@@ -383,24 +377,10 @@ impl<'n> BatchEngine<'n> {
         Ok(grad)
     }
 
-    /// Index of layer `layer`'s first parameter (its weight) in
-    /// [`Sequential::params`] order.
-    fn weight_index(&self, layer: usize) -> Result<usize> {
-        match self.layers.get(layer) {
-            Some(l) if !l.layer().params().is_empty() => Ok(self.layers[..layer]
-                .iter()
-                .map(|l| l.layer().params().len())
-                .sum()),
-            _ => Err(NnError::BadConfig(format!(
-                "weight gradient for layer {layer}, which has no parameters"
-            ))),
-        }
-    }
-
     /// Forward + backward for one shard: recorded forward, caller's loss
     /// closure, then the tape-driven backward. With `grads`, the tape keeps
     /// each parameterised layer's input and the backward accumulates into
-    /// `grads`, seeded first with the closure's weight-only gradient.
+    /// `grads`.
     #[allow(clippy::too_many_arguments)]
     fn run_shard_backward<F>(
         &self,
@@ -408,7 +388,7 @@ impl<'n> BatchEngine<'n> {
         start: usize,
         feature_layer: Option<usize>,
         grad_fn: F,
-        mut grads: Option<&mut [Tensor]>,
+        grads: Option<&mut [Tensor]>,
         tapes: &mut Vec<TapeSlot>,
         scratch: &mut Scratch,
     ) -> Result<(Tensor, Tensor, f32)>
@@ -424,11 +404,6 @@ impl<'n> BatchEngine<'n> {
                 shard_grad.d_logits.dims(),
                 logits.dims()
             )));
-        }
-        if let (Some(grads), Some((layer, extra))) =
-            (grads.as_deref_mut(), shard_grad.weight_grad.as_ref())
-        {
-            grads[self.weight_index(*layer)?].add_scaled(extra, 1.0)?;
         }
         let injection = match (feature_layer, shard_grad.injection.as_ref()) {
             (Some(idx), Some(extra)) => Some((idx, extra)),
@@ -520,34 +495,30 @@ impl<'n> BatchEngine<'n> {
     ///
     /// `grad_fn(0, logits, feature)` is the closure
     /// [`BatchEngine::forward_backward_with`] takes, called once with the
-    /// whole batch; its [`ShardGrad::injection`] enters at `feature_layer`
-    /// and its [`ShardGrad::weight_grad`] seeds that layer's weight
-    /// accumulator. Every accumulator starts at `+0.0`, takes the
-    /// weight-only term first, then the backward's `dW` — the add sequence
-    /// the trained-model goldens pin.
+    /// whole batch; its [`ShardGrad::injection`] enters at `feature_layer`.
+    /// Every accumulator starts at `+0.0` and takes the backward's `dW`.
+    ///
+    /// `tape` holds the pass's records. A trainer keeps one across its
+    /// steps: each slot is overwritten in place, so the previous step's
+    /// records are freed one at a time rather than all at once (dropping a
+    /// whole step's tape let glibc malloc trim the heap top every step,
+    /// which on a 2-vCPU host cost a smoke-scale training run about 9k
+    /// minor page faults and ~15% of its time).
     ///
     /// # Errors
     ///
     /// Returns an error for an empty batch, an out-of-range
-    /// `feature_layer`, a `weight_grad` for a layer without parameters,
-    /// mismatched shapes, or any `grad_fn` failure.
+    /// `feature_layer`, mismatched shapes, or any `grad_fn` failure.
     pub fn forward_backward_params<F>(
         &self,
         input: &Tensor,
         feature_layer: Option<usize>,
+        tape: &mut Vec<TapeSlot>,
         grad_fn: F,
     ) -> Result<GradBatch>
     where
         F: FnOnce(usize, &Tensor, Option<&Tensor>) -> Result<ShardGrad>,
     {
-        // The calling thread keeps its training tape from one step to the
-        // next. Dropping a whole step's records at once lets glibc malloc
-        // trim the heap top every step: on a 2-vCPU host a smoke-scale
-        // training run then took about 9k minor page faults and ~15% more
-        // time than with the records replaced slot by slot.
-        thread_local! {
-            static TRAINING_TAPE: RefCell<Vec<TapeSlot>> = const { RefCell::new(Vec::new()) };
-        }
         self.check_backward_args(input, feature_layer)?;
         let mut param_grads: Vec<Tensor> = self
             .layers
@@ -555,20 +526,15 @@ impl<'n> BatchEngine<'n> {
             .flat_map(|l| l.layer().params())
             .map(|p| Tensor::zeros(p.dims()))
             .collect();
-        // Taken out for the pass, so a `grad_fn` that trains on this
-        // thread again finds an empty tape instead of a borrowed one.
-        let mut tapes = TRAINING_TAPE.with(|t| t.take());
-        let result = self.run_shard_backward(
+        let (logits, input_grad, loss) = self.run_shard_backward(
             input,
             0,
             feature_layer,
             grad_fn,
             Some(&mut param_grads),
-            &mut tapes,
+            tape,
             &mut Scratch::with_backend(self.backend()),
-        );
-        TRAINING_TAPE.with(|t| t.replace(tapes));
-        let (logits, input_grad, loss) = result?;
+        )?;
         Ok(GradBatch {
             logits,
             input_grad,
@@ -667,7 +633,6 @@ impl<'n> BatchEngine<'n> {
             Ok(ShardGrad {
                 d_logits: grad_output.batch_slice(start, logits.dims()[0])?,
                 injection: None,
-                weight_grad: None,
                 loss: 0.0,
             })
         })?;
@@ -700,7 +665,6 @@ impl<'n> BatchEngine<'n> {
             Ok(ShardGrad {
                 d_logits,
                 injection: None,
-                weight_grad: None,
                 loss,
             })
         })
@@ -782,11 +746,10 @@ mod tests {
     /// logit gradient and nothing injected.
     fn training_pass(engine: &BatchEngine<'_>, batch: &Tensor, d_logits: &Tensor) -> GradBatch {
         engine
-            .forward_backward_params(batch, None, |_, _, _| {
+            .forward_backward_params(batch, None, &mut Vec::new(), |_, _, _| {
                 Ok(ShardGrad {
                     d_logits: d_logits.clone(),
                     injection: None,
-                    weight_grad: None,
                     loss: 0.0,
                 })
             })
@@ -912,39 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_grad_seeds_the_weight_accumulator() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let net = LisaCnn::new(18)
-            .input_size(16)
-            .conv1_filters(4)
-            .with_trainable_depthwise(3)
-            .build(&mut rng)
-            .unwrap();
-        let image = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let engine = BatchEngine::new(&net).unwrap();
-        let seed = Tensor::rand_uniform(&[4, 3, 3], -1.0, 1.0, &mut rng);
-        let run = |layer: usize| {
-            engine.forward_backward_params(&image, None, |_, logits, _| {
-                Ok(ShardGrad {
-                    d_logits: Tensor::zeros(logits.dims()),
-                    injection: None,
-                    weight_grad: Some((layer, seed.clone())),
-                    loss: 0.0,
-                })
-            })
-        };
-        // Layer 1 is the depthwise layer; its weight follows conv1's weight
-        // and bias in params order. With a zero loss gradient the backward
-        // adds only zeros, so the seed comes back unchanged.
-        let out = run(1).unwrap();
-        assert_eq!(out.param_grads[2], seed);
-        assert_eq!(out.param_grads[0].l1_norm(), 0.0);
-        // A layer without parameters (ReLU at index 2) is rejected.
-        assert!(run(2).is_err());
-        assert!(run(99).is_err());
-    }
-
-    #[test]
     fn forward_backward_batch_is_thread_invariant() {
         let net = lisa_net(13);
         let mut rng = ChaCha8Rng::seed_from_u64(14);
@@ -986,14 +916,13 @@ mod tests {
             Ok(ShardGrad {
                 d_logits: Tensor::zeros(shard_logits.dims()),
                 injection: Some(Tensor::ones(feature.dims())),
-                weight_grad: None,
                 loss: 0.5,
             })
         };
 
         let engine = BatchEngine::new(&net).unwrap();
         let reference = engine
-            .forward_backward_params(&image, Some(feature_layer), grad_fn)
+            .forward_backward_params(&image, Some(feature_layer), &mut Vec::new(), grad_fn)
             .unwrap();
         let out = engine
             .forward_backward_with(&image, Some(feature_layer), grad_fn)
@@ -1008,7 +937,6 @@ mod tests {
             .forward_backward_with(&image, Some(99), |_, l, _| Ok(ShardGrad {
                 d_logits: Tensor::zeros(l.dims()),
                 injection: None,
-                weight_grad: None,
                 loss: 0.0,
             }))
             .is_err());
@@ -1017,7 +945,6 @@ mod tests {
             .forward_backward_with(&image, None, |_, _, _| Ok(ShardGrad {
                 d_logits: Tensor::zeros(&[1, 3]),
                 injection: None,
-                weight_grad: None,
                 loss: 0.0,
             }))
             .is_err());

@@ -16,8 +16,7 @@
 //!
 //! Both take an extra gradient to inject at an intermediate activation —
 //! the adaptive attacks' feature penalties (Eq. 9–11) and the total-variation
-//! and Tikhonov feature-map regularizers (Eq. 4, 6 and 7) — and training
-//! also takes a weight-only gradient (the L∞ term of Eq. 2).
+//! and Tikhonov feature-map regularizers (Eq. 4, 6 and 7).
 //!
 //! The [`model::LisaCnn`] builder replicates the paper's road-sign
 //! classifier topology (three convolution layers plus a fully-connected
@@ -45,10 +44,15 @@
 //! assert_eq!(logits.dims(), &[2, 18]);
 //!
 //! // One training step: loss closure, parameter gradients, optimizer.
-//! let step = net.batch_engine()?.forward_backward_params(&batch, None, |_, logits, _| {
-//!     let (loss, d_logits) = softmax_cross_entropy(logits, &[0, 1])?;
-//!     Ok(ShardGrad { d_logits, injection: None, weight_grad: None, loss })
-//! })?;
+//! let step = net.batch_engine()?.forward_backward_params(
+//!     &batch,
+//!     None,
+//!     &mut Vec::new(),
+//!     |_, logits, _| {
+//!         let (loss, d_logits) = softmax_cross_entropy(logits, &[0, 1])?;
+//!         Ok(ShardGrad { d_logits, injection: None, loss })
+//!     },
+//! )?;
 //! assert!(step.shard_losses[0] > 0.0);
 //! let mut pairs: Vec<_> = net.params_mut().into_iter().zip(&step.param_grads).collect();
 //! Adam::new(1e-3)?.step(&mut pairs)?;

@@ -233,12 +233,11 @@ mod tests {
         net
     }
 
-    /// A shard gradient with no injection and no weight-only term.
+    /// A shard gradient with no injection.
     fn plain(d_logits: Tensor, loss: f32) -> ShardGrad {
         ShardGrad {
             d_logits,
             injection: None,
-            weight_grad: None,
             loss,
         }
     }
@@ -315,7 +314,7 @@ mod tests {
         let x = Tensor::rand_uniform(&[1, 1, 8, 8], -1.0, 1.0, &mut rng);
 
         let baseline = engine
-            .forward_backward_params(&x, None, |_, logits, _| {
+            .forward_backward_params(&x, None, &mut Vec::new(), |_, logits, _| {
                 Ok(plain(Tensor::zeros(logits.dims()), 0.0))
             })
             .unwrap();
@@ -325,7 +324,7 @@ mod tests {
         // Injecting gradient at the conv output (layer 0) with a zero loss
         // gradient must still produce conv weight gradients.
         let injected = engine
-            .forward_backward_params(&x, Some(0), |_, logits, feature| {
+            .forward_backward_params(&x, Some(0), &mut Vec::new(), |_, logits, feature| {
                 Ok(ShardGrad {
                     injection: Some(Tensor::ones(feature.unwrap().dims())),
                     ..plain(Tensor::zeros(logits.dims()), 0.0)
@@ -341,7 +340,7 @@ mod tests {
         let net = tiny_net(&mut rng);
         let engine = net.batch_engine().unwrap();
         let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let err = engine.forward_backward_params(&x, Some(99), |_, logits, _| {
+        let err = engine.forward_backward_params(&x, Some(99), &mut Vec::new(), |_, logits, _| {
             Ok(plain(Tensor::zeros(logits.dims()), 0.0))
         });
         assert!(err.is_err());
@@ -392,7 +391,7 @@ mod tests {
             let step = net
                 .batch_engine()
                 .unwrap()
-                .forward_backward_params(&x, None, |_, logits, _| {
+                .forward_backward_params(&x, None, &mut Vec::new(), |_, logits, _| {
                     let (loss, d_logits) = softmax_cross_entropy(logits, &labels)?;
                     Ok(plain(d_logits, loss))
                 })

@@ -80,11 +80,10 @@ proptest! {
         let training = net
             .batch_engine()
             .expect("engine builds")
-            .forward_backward_params(&batch, None, |_, logits, _| {
+            .forward_backward_params(&batch, None, &mut Vec::new(), |_, logits, _| {
                 Ok(ShardGrad {
                     d_logits: Tensor::zeros(logits.dims()),
                     injection: None,
-                    weight_grad: None,
                     loss: 0.0,
                 })
             })

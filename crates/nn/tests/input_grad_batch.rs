@@ -24,11 +24,10 @@ const THREAD_COUNTS: [usize; 2] = [1, 4];
 fn training_pass(net: &Sequential, image: &Tensor, d_logits: Tensor, loss: f32) -> GradBatch {
     net.batch_engine()
         .expect("engine builds")
-        .forward_backward_params(image, None, |_, _, _| {
+        .forward_backward_params(image, None, &mut Vec::new(), |_, _, _| {
             Ok(ShardGrad {
                 d_logits,
                 injection: None,
-                weight_grad: None,
                 loss,
             })
         })

@@ -4,8 +4,8 @@
 //! input and parameter gradients — with and without the TV regularizer's
 //! feature-map injection — match their finite differences end-to-end.
 
-use blurnet_defenses::{filter_image, FeatureRegularizer};
-use blurnet_nn::{softmax_cross_entropy, GradBatch, Layer, LayerKind, Sequential, ShardGrad};
+use blurnet_defenses::{filter_image, training_gradients, FeatureRegularizer};
+use blurnet_nn::{softmax_cross_entropy, Layer, LayerKind, Sequential};
 use blurnet_signal::{box_kernel, gaussian_kernel, total_variation};
 use blurnet_tensor::Tensor;
 use blurnet_test_support::{canned_sticker_mask, tiny_lisa_builder, tiny_lisa_net, uniform_batch};
@@ -121,26 +121,16 @@ fn objective(net: &Sequential, x: &Tensor, labels: &[usize], reg: &FeatureRegula
     ce + reg.apply(net, feature.as_ref()).unwrap().value
 }
 
-/// The engine's training pass over the same objective.
+/// The parameter gradients of one training step over the same objective.
 fn training_pass(
     net: &Sequential,
     x: &Tensor,
     labels: &[usize],
     reg: &FeatureRegularizer,
-) -> GradBatch {
-    net.batch_engine()
+) -> Vec<Tensor> {
+    training_gradients(net, reg, &mut Vec::new(), x, labels)
         .unwrap()
-        .forward_backward_params(x, reg.feature_layer(), |_, logits, feature| {
-            let (ce, d_logits) = softmax_cross_entropy(logits, labels)?;
-            let term = reg.apply(net, feature).unwrap();
-            Ok(ShardGrad {
-                d_logits,
-                injection: term.injection,
-                weight_grad: term.weight_grad,
-                loss: ce + term.value,
-            })
-        })
-        .unwrap()
+        .1
 }
 
 /// Central-difference check of every parameter tensor's gradient at a
@@ -153,10 +143,10 @@ fn training_pass(
 /// loss near 3 keeps the central difference within about 1e-3 at this
 /// step.
 fn check_param_grads(net: &Sequential, x: &Tensor, labels: &[usize], reg: &FeatureRegularizer) {
-    let step = training_pass(net, x, labels, reg);
-    assert_eq!(step.param_grads.len(), net.params().len());
+    let grads = training_pass(net, x, labels, reg);
+    assert_eq!(grads.len(), net.params().len());
     let eps = 3e-4f32;
-    for (p, grad) in step.param_grads.iter().enumerate() {
+    for (p, grad) in grads.iter().enumerate() {
         let len = grad.len();
         for idx in [0, len / 2, len - 1] {
             let mut probe = net.clone();
@@ -221,7 +211,7 @@ fn parameter_gradients_with_tv_injection_match_finite_differences() {
     // The injection reaches conv1's gradients and nothing else's.
     let plain = training_pass(&net, &x, &[3, 7], &FeatureRegularizer::None);
     let with_tv = training_pass(&net, &x, &[3, 7], &reg);
-    assert_ne!(plain.param_grads[0], with_tv.param_grads[0]);
-    assert_eq!(plain.param_grads[2..], with_tv.param_grads[2..]);
+    assert_ne!(plain[0], with_tv[0]);
+    assert_eq!(plain[2..], with_tv[2..]);
     check_param_grads(&net, &x, &[3, 7], &reg);
 }
