@@ -110,8 +110,8 @@ impl FeatureRegularizer {
     ///
     /// # Errors
     ///
-    /// Returns an error if the L∞ layer index does not name a depthwise
-    /// layer, if a feature penalty gets no activation, or if the
+    /// Returns an error if the L∞ layer index does not name a trainable
+    /// depthwise layer, if a feature penalty gets no activation, or if the
     /// activation's shape does not fit the penalty.
     pub fn apply(&self, net: &Sequential, feature: Option<&Tensor>) -> Result<RegularizerTerm> {
         match self {
@@ -122,6 +122,11 @@ impl FeatureRegularizer {
                         "layer {layer_index} is not a depthwise layer"
                     )));
                 };
+                if !depthwise.is_trainable() {
+                    return Err(DefenseError::BadConfig(format!(
+                        "depthwise layer {layer_index} is a fixed blur, not trainable"
+                    )));
+                }
                 Ok(RegularizerTerm {
                     value: alpha * depthwise.linf_penalty(),
                     injection: None,
@@ -332,5 +337,17 @@ mod tests {
         };
         // Layer 0 is a Conv2d, not a depthwise layer.
         assert!(reg.apply(&net, None).is_err());
+        // A fixed blur has no weight gradient to take the L∞ term.
+        let blurred = LisaCnn::new(4)
+            .input_size(16)
+            .conv1_filters(4)
+            .with_fixed_blur(blurnet_signal::box_kernel(3))
+            .build(&mut rng)
+            .unwrap();
+        let reg = FeatureRegularizer::LinfDepthwise {
+            alpha: 1.0,
+            layer_index: 1,
+        };
+        assert!(reg.apply(&blurred, None).is_err());
     }
 }
